@@ -19,23 +19,13 @@
 // points on N workers with output byte-identical to the serial run.
 #include "common/workloads.h"
 #include "synth/sweep.h"
-#include "topology/generator.h"
 
 int main(int argc, char** argv) {
   using namespace cs;
   // `--trace-out <file>`: per-worker sweep-point spans (warm/cold
   // tagged), encoder-phase spans, and solver counter timelines.
   const bench::TraceGuard trace(argc, argv);
-  model::ProblemSpec spec;
-  spec.network = topology::make_paper_example();
-  const model::ServiceId svc = spec.services.add("svc");
-  const auto& hosts = spec.network.hosts();
-  for (const topology::NodeId i : hosts)
-    for (const topology::NodeId j : hosts)
-      if (i != j) spec.flows.add(model::Flow{i, j, svc});
-  for (std::size_t f = 0; f < spec.flows.size(); f += 10)
-    spec.connectivity.add(static_cast<model::FlowId>(f));
-  spec.finalize();
+  const model::ProblemSpec spec = bench::make_paper_example_spec();
 
   const std::vector<util::Fixed> budgets = {util::Fixed::from_int(10),
                                             util::Fixed::from_int(20)};

@@ -1,9 +1,6 @@
 // Solver-core throughput benchmark: conflicts/sec and propagations/sec of
-// the MiniPB solver on the paper's workload families, measured for both PB
-// propagators (the default watched-sum prefix and the reference counter
-// method, selected per run via CS_MINIPB_PB_MODE / Solver::set_pb_mode)
-// and for both phases (cold and warm) — plus the search-heuristic
-// ablation matrix and the portfolio-racing headline run.
+// the MiniPB solver on the paper's workload families, cold and warm, plus
+// the MiniPB-vs-race pair that measures what `--backend race` buys.
 //
 // Four workload groups:
 //   * fig4a_h{8,10,12} — the hosts ladder swept end-to-end through the
@@ -11,10 +8,7 @@
 //     measures the whole solver including the clause arena.
 //   * fig5a_grid — isolation 0..6 x usability {5,6} at 10 hosts; the
 //     tight corner blows the 20000-conflict cap, so part of the grid is
-//     pure bounded solver work. This grid additionally runs the
-//     heuristic ablation: the {Luby, Glucose} restart × {local,
-//     recursive} minimization matrix plus a rephasing-off run, selected
-//     via CS_MINIPB_RESTART_MODE / CS_MINIPB_MINIMIZE / CS_MINIPB_REPHASE.
+//     pure bounded solver work.
 //   * fig5a_pb_core — the PB skeleton of the Fig. 5(a) encoding family
 //     at paper scale, driven directly on minisolver::Solver: ~300
 //     defense variables, ~300 long >=-sums (per-flow isolation,
@@ -22,20 +16,17 @@
 //     ConfigSynth coefficient palette, plus ternary routing clauses.
 //     Cold = one capped plain solve; warm = thousands of threshold-probe
 //     assumption rounds on a persistent solver. This is the workload
-//     where PB propagation dominates, so its warm watched/counter ratio
-//     is the number the watched-sum rewrite is accountable for.
+//     where watched-sum PB propagation dominates.
 //   * fig3a_grid — the paper example's Fig. 3(a) max-isolation grid,
-//     cold, run twice: once on MiniPB pinned to the pre-heuristics seed
-//     configuration (Luby + local minimization, rephasing off) and once
-//     on the race backend with the modern defaults. The wall ratio of
-//     the two is the headline speedup scripts/check_bench.py reports.
+//     cold, run once on MiniPB and once on the MiniPB/Z3 race backend
+//     with the same effort cap. The wall ratio of the two is what
+//     scripts/check_bench.py reports.
 //
 // Unlike the figure benches this one takes no CS_BENCH_BACKEND — every
-// run pins its backend explicitly (MiniPB, or MiniPB-vs-Z3 racing for
-// the fig3a headline) — and it emits a machine-readable artifact,
-// BENCH_solver.json (schema cs-bench-solver-v2), that
-// scripts/check_bench.py validates and compares against the committed
-// baseline in bench/baselines/.
+// run pins its backend — and it emits a machine-readable artifact,
+// BENCH_solver.json (schema cs-bench-solver-v3, one record per
+// (workload, backend, phase)), that scripts/check_bench.py validates and
+// compares against the committed baseline in bench/baselines/.
 //
 // Throughput rates are only meaningful when the solver did real work, so
 // every run uses a deterministic conflict cap (hard points become a fixed
@@ -45,13 +36,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/workloads.h"
 #include "minisolver/solver.h"
 #include "synth/sweep.h"
-#include "topology/generator.h"
 #include "util/memory.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -66,28 +55,19 @@ using minisolver::Var;
 
 struct RunRecord {
   std::string workload;
-  const char* backend = "minipb";       // "minipb" | "race"
-  const char* pb_mode;                  // "watched" | "counter"
-  const char* restart_mode = "glucose";  // "glucose" | "luby"
-  const char* minimize_mode = "recursive";  // "recursive" | "local"
-  const char* rephase = "on";           // "on" | "off"
-  const char* phase;                    // "cold" | "warm"
+  const char* backend = "minipb";  // "minipb" | "race"
+  const char* phase = "cold";      // "cold" | "warm"
   int points = 0;
-  std::int64_t rephases = 0;
-  std::int64_t minimized_literals = 0;
   double wall_seconds = 0;
   std::int64_t conflicts = 0;
   std::int64_t propagations = 0;
+  std::int64_t rephases = 0;
+  std::int64_t minimized_literals = 0;
   std::int64_t peak_rss_bytes = 0;
 
-  double conflicts_per_sec() const {
-    return wall_seconds > 0 ? static_cast<double>(conflicts) / wall_seconds
+  double per_sec(std::int64_t count) const {
+    return wall_seconds > 0 ? static_cast<double>(count) / wall_seconds
                             : 0.0;
-  }
-  double propagations_per_sec() const {
-    return wall_seconds > 0
-               ? static_cast<double>(propagations) / wall_seconds
-               : 0.0;
   }
 };
 
@@ -113,29 +93,27 @@ std::vector<Workload> make_workloads() {
                                       util::Fixed::from_int(10 * hosts)});
     out.push_back(std::move(w));
   }
-  {
-    Workload w;
-    w.name = "fig5a_grid";
-    w.spec = bench::make_eval_spec(10, 10, 0.10, 4242);
-    for (int iso = 0; iso <= 6; ++iso)
-      for (const int usab : {5, 6})
-        w.grid.push_back(model::Sliders{util::Fixed::from_int(iso),
-                                        util::Fixed::from_int(usab),
-                                        util::Fixed::from_int(100)});
-    out.push_back(std::move(w));
-  }
+  Workload w;
+  w.name = "fig5a_grid";
+  w.spec = bench::make_eval_spec(10, 10, 0.10, 4242);
+  for (int iso = 0; iso <= 6; ++iso)
+    for (const int usab : {5, 6})
+      w.grid.push_back(model::Sliders{util::Fixed::from_int(iso),
+                                      util::Fixed::from_int(usab),
+                                      util::Fixed::from_int(100)});
+  out.push_back(std::move(w));
   return out;
 }
 
-RunRecord measure_sweep(const std::string& workload, const char* pb_mode,
+RunRecord measure_sweep(const std::string& workload, const char* backend,
                         const char* phase, const synth::SweepEngine& engine,
                         synth::SweepRequest& request) {
-  request.warm_start = std::string_view(phase) == "warm";
+  request.warm_start = std::string(phase) == "warm";
   util::Stopwatch watch;
   const synth::SweepResult result = engine.run(request);
   RunRecord rec;
   rec.workload = workload;
-  rec.pb_mode = pb_mode;
+  rec.backend = backend;
   rec.phase = phase;
   rec.points = static_cast<int>(result.points.size());
   rec.wall_seconds = watch.elapsed_seconds();
@@ -145,34 +123,6 @@ RunRecord measure_sweep(const std::string& workload, const char* pb_mode,
   rec.minimized_literals = result.total_solver.minimized_literals;
   rec.peak_rss_bytes = util::peak_rss_bytes();
   return rec;
-}
-
-/// One cell of the heuristic ablation matrix; applied through the same
-/// environment variables a whole-stack A/B run would use, so the bench
-/// exercises the exact production configuration path.
-struct HeuristicConfig {
-  const char* restart;   // "glucose" | "luby"
-  const char* minimize;  // "recursive" | "local"
-  const char* rephase;   // "on" | "off"
-};
-
-void apply_heuristic_env(const HeuristicConfig& h) {
-  ::setenv("CS_MINIPB_RESTART_MODE", h.restart, 1);
-  ::setenv("CS_MINIPB_MINIMIZE", h.minimize, 1);
-  ::setenv("CS_MINIPB_REPHASE",
-           std::string_view(h.rephase) == "on" ? "1" : "0", 1);
-}
-
-void clear_heuristic_env() {
-  ::unsetenv("CS_MINIPB_RESTART_MODE");
-  ::unsetenv("CS_MINIPB_MINIMIZE");
-  ::unsetenv("CS_MINIPB_REPHASE");
-}
-
-void tag_heuristics(RunRecord& rec, const HeuristicConfig& h) {
-  rec.restart_mode = h.restart;
-  rec.minimize_mode = h.minimize;
-  rec.rephase = h.rephase;
 }
 
 // ---- PB-core workload (direct solver, PB propagation dominates) ------------
@@ -214,38 +164,32 @@ void build_pb_core(Solver& s, util::Rng& rng) {
 }
 
 /// Cold: load the skeleton into a fresh solver and solve it once — the
-/// wall includes constraint normalization and the mode's watch setup
-/// (tight prefixes vs full occurrence registration). Warm: a persistent
-/// solver re-solved under kPbWarmRounds random threshold-assumption
-/// rounds (the synthesizer's probe pattern); the wall excludes loading.
-/// Returns the record plus the verdict tally so the caller can
-/// differential-check the two modes.
-RunRecord measure_pb_core(const char* pb_mode, const char* phase,
-                          std::int64_t verdicts[3]) {
+/// wall includes constraint normalization and the watch setup. Warm: a
+/// persistent solver re-solved under kPbWarmRounds random
+/// threshold-assumption rounds (the synthesizer's probe pattern); the
+/// wall excludes loading.
+RunRecord measure_pb_core(const char* phase) {
   Solver s;
-  if (std::string_view(pb_mode) == "counter")
-    s.set_pb_mode(Solver::PbMode::kCounter);
   util::Rng rng(4242);
   RunRecord rec;
   rec.workload = "fig5a_pb_core";
-  rec.pb_mode = pb_mode;
   rec.phase = phase;
-  const bool cold = std::string_view(phase) == "cold";
+  const bool cold = std::string(phase) == "cold";
   util::Stopwatch watch;  // cold wall includes the load below
   build_pb_core(s, rng);
   s.set_conflict_limit(kPbCap);
-  if (!cold) watch.reset();  // warm wall starts after the load
   if (cold) {
     rec.points = 1;
-    verdicts[static_cast<int>(s.solve())]++;
+    (void)s.solve();
   } else {
+    watch.reset();  // warm wall starts after the load
     rec.points = kPbWarmRounds;
     for (int round = 0; round < kPbWarmRounds; ++round) {
       std::vector<Lit> assume;
       for (Var v = 0; v < kPbVars; ++v)
         if (rng.chance(0.1))
           assume.push_back(rng.chance(0.5) ? Lit::pos(v) : Lit::neg(v));
-      verdicts[static_cast<int>(s.solve(assume))]++;
+      (void)s.solve(assume);
     }
   }
   rec.wall_seconds = watch.elapsed_seconds();
@@ -265,39 +209,27 @@ void write_json(const char* path, const std::vector<RunRecord>& runs) {
     std::fprintf(stderr, "cannot write %s\n", path);
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"schema\": \"cs-bench-solver-v2\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"cs-bench-solver-v3\",\n");
   std::fprintf(f, "  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const RunRecord& r = runs[i];
     std::fprintf(
         f,
-        "    {\"workload\": \"%s\", \"backend\": \"%s\", \"pb_mode\": "
-        "\"%s\", \"restart_mode\": \"%s\", \"minimize_mode\": \"%s\", "
-        "\"rephase\": \"%s\", \"phase\": \"%s\", \"points\": %d, "
-        "\"wall_seconds\": %.6f, \"conflicts\": %lld, \"propagations\": "
-        "%lld, \"conflicts_per_sec\": %.1f, \"propagations_per_sec\": "
-        "%.1f, \"rephases\": %lld, \"minimized_literals\": %lld, "
-        "\"peak_rss_bytes\": %lld}%s\n",
-        r.workload.c_str(), r.backend, r.pb_mode, r.restart_mode,
-        r.minimize_mode, r.rephase, r.phase, r.points, r.wall_seconds,
+        "    {\"workload\": \"%s\", \"backend\": \"%s\", \"phase\": \"%s\", "
+        "\"points\": %d, \"wall_seconds\": %.6f, \"conflicts\": %lld, "
+        "\"propagations\": %lld, \"conflicts_per_sec\": %.1f, "
+        "\"propagations_per_sec\": %.1f, \"rephases\": %lld, "
+        "\"minimized_literals\": %lld, \"peak_rss_bytes\": %lld}%s\n",
+        r.workload.c_str(), r.backend, r.phase, r.points, r.wall_seconds,
         static_cast<long long>(r.conflicts),
-        static_cast<long long>(r.propagations), r.conflicts_per_sec(),
-        r.propagations_per_sec(), static_cast<long long>(r.rephases),
+        static_cast<long long>(r.propagations), r.per_sec(r.conflicts),
+        r.per_sec(r.propagations), static_cast<long long>(r.rephases),
         static_cast<long long>(r.minimized_literals),
         static_cast<long long>(r.peak_rss_bytes),
         i + 1 < runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-}
-
-double rate_of(const std::vector<RunRecord>& runs, std::string_view workload,
-               std::string_view phase, std::string_view pb_mode) {
-  for (const RunRecord& r : runs)
-    if (r.workload == workload && std::string_view(r.phase) == phase &&
-        std::string_view(r.pb_mode) == pb_mode)
-      return r.propagations_per_sec();
-  return 0;
 }
 
 }  // namespace
@@ -307,151 +239,56 @@ int main(int argc, char** argv) {
   const bench::TraceGuard trace(argc, argv);
   std::vector<RunRecord> runs;
 
-  const std::vector<Workload> workloads = make_workloads();
-  for (const Workload& w : workloads) {
-    for (const char* mode : {"watched", "counter"}) {
-      // The propagator is chosen at backend construction, which happens
-      // inside SweepEngine::run — the env var must be set before it.
-      ::setenv("CS_MINIPB_PB_MODE", mode, 1);
-      synth::SweepRequest request =
-          synth::SweepRequest::feasibility_grid(w.grid);
-      request.synthesis.backend = smt::BackendKind::kMiniPb;
-      request.synthesis.check_conflict_limit = 20000;
-      request.jobs = bench::jobs(argc, argv);
-      const synth::SweepEngine engine(w.spec);
-      for (const char* phase : {"cold", "warm"})
-        runs.push_back(measure_sweep(w.name, mode, phase, engine, request));
-    }
-  }
-  ::unsetenv("CS_MINIPB_PB_MODE");
-
-  // Heuristic ablation matrix on the bounded-work grid (cold, watched):
-  // the three non-default restart × minimization combinations plus a
-  // rephasing-off run. The default combination (glucose + recursive +
-  // rephase on) is already measured by the loop above.
-  {
-    const Workload& fig5a = workloads.back();
-    const HeuristicConfig ablations[] = {
-        {"luby", "recursive", "on"},
-        {"glucose", "local", "on"},
-        {"luby", "local", "on"},
-        {"glucose", "recursive", "off"},
-    };
-    for (const HeuristicConfig& h : ablations) {
-      apply_heuristic_env(h);
-      synth::SweepRequest request =
-          synth::SweepRequest::feasibility_grid(fig5a.grid);
-      request.synthesis.backend = smt::BackendKind::kMiniPb;
-      request.synthesis.check_conflict_limit = 20000;
-      request.jobs = bench::jobs(argc, argv);
-      const synth::SweepEngine engine(fig5a.spec);
-      RunRecord rec =
-          measure_sweep(fig5a.name, "watched", "cold", engine, request);
-      tag_heuristics(rec, h);
-      runs.push_back(std::move(rec));
-    }
-    clear_heuristic_env();
-  }
-
-  // Differential self-check rides along: both propagators must tally the
-  // same verdicts on the PB-core rounds.
-  std::int64_t tally[2][3] = {};
-  int mode_idx = 0;
-  for (const char* mode : {"watched", "counter"}) {
-    for (const char* phase : {"cold", "warm"})
-      runs.push_back(measure_pb_core(mode, phase, tally[mode_idx]));
-    ++mode_idx;
-  }
-  for (int v = 0; v < 3; ++v) {
-    if (tally[0][v] != tally[1][v]) {
-      std::fprintf(stderr,
-                   "pb_core verdict divergence between propagators\n");
-      return 1;
-    }
-  }
-
-  // The headline pair: the paper example's Fig. 3(a) grid, cold, once on
-  // the pre-heuristics seed configuration and once on the portfolio
-  // racer with the modern defaults. Same grid, same effort cap (in each
-  // run's own units), same worker count — only the search changed.
-  double fig3a_seed_wall = 0;
-  double fig3a_race_wall = 0;
-  {
-    model::ProblemSpec spec;
-    spec.network = topology::make_paper_example();
-    const model::ServiceId svc = spec.services.add("svc");
-    const auto& hosts = spec.network.hosts();
-    for (const topology::NodeId i : hosts)
-      for (const topology::NodeId j : hosts)
-        if (i != j) spec.flows.add(model::Flow{i, j, svc});
-    for (std::size_t f = 0; f < spec.flows.size(); f += 10)
-      spec.connectivity.add(static_cast<model::FlowId>(f));
-    spec.finalize();
-
-    std::vector<util::Fixed> floors;
-    for (int u = 0; u <= 10; u += 2)
-      floors.push_back(util::Fixed::from_int(u));
-    synth::SweepRequest request = synth::SweepRequest::max_isolation_grid(
-        floors, {util::Fixed::from_int(10), util::Fixed::from_int(20)});
-    request.synthesis.check_conflict_limit = 100'000;
-    request.jobs = bench::jobs(argc, argv);
-    const synth::SweepEngine engine(spec);
-
-    const HeuristicConfig seed_config{"luby", "local", "off"};
-    apply_heuristic_env(seed_config);
+  for (const Workload& w : make_workloads()) {
+    synth::SweepRequest request =
+        synth::SweepRequest::feasibility_grid(w.grid);
     request.synthesis.backend = smt::BackendKind::kMiniPb;
-    RunRecord seed_rec =
-        measure_sweep("fig3a_grid", "watched", "cold", engine, request);
-    tag_heuristics(seed_rec, seed_config);
-    fig3a_seed_wall = seed_rec.wall_seconds;
-    runs.push_back(std::move(seed_rec));
-    clear_heuristic_env();
-
-    request.synthesis.backend = smt::BackendKind::kRace;
-    RunRecord race_rec =
-        measure_sweep("fig3a_grid", "watched", "cold", engine, request);
-    race_rec.backend = "race";
-    fig3a_race_wall = race_rec.wall_seconds;
-    runs.push_back(std::move(race_rec));
+    request.synthesis.check_conflict_limit = 20000;
+    request.jobs = bench::jobs(argc, argv);
+    const synth::SweepEngine engine(w.spec);
+    for (const char* phase : {"cold", "warm"})
+      runs.push_back(measure_sweep(w.name, "minipb", phase, engine, request));
   }
+  for (const char* phase : {"cold", "warm"})
+    runs.push_back(measure_pb_core(phase));
+
+  // The MiniPB-vs-race pair: same grid, same effort cap (in each
+  // backend's own units), same worker count — only the backend changes.
+  const model::ProblemSpec fig3a = bench::make_paper_example_spec();
+  std::vector<util::Fixed> floors;
+  for (int u = 0; u <= 10; u += 2) floors.push_back(util::Fixed::from_int(u));
+  synth::SweepRequest request = synth::SweepRequest::max_isolation_grid(
+      floors, {util::Fixed::from_int(10), util::Fixed::from_int(20)});
+  request.synthesis.check_conflict_limit = 100'000;
+  request.jobs = bench::jobs(argc, argv);
+  const synth::SweepEngine engine(fig3a);
+  request.synthesis.backend = smt::BackendKind::kMiniPb;
+  const RunRecord mini =
+      measure_sweep("fig3a_grid", "minipb", "cold", engine, request);
+  request.synthesis.backend = smt::BackendKind::kRace;
+  const RunRecord race =
+      measure_sweep("fig3a_grid", "race", "cold", engine, request);
+  runs.push_back(mini);
+  runs.push_back(race);
 
   std::vector<std::vector<std::string>> rows;
   for (const RunRecord& r : runs) {
     char cps[32], pps[32];
-    std::snprintf(cps, sizeof cps, "%.0f", r.conflicts_per_sec());
-    std::snprintf(pps, sizeof pps, "%.0f", r.propagations_per_sec());
-    rows.push_back({r.workload, r.backend, r.pb_mode,
-                    std::string(r.restart_mode) + "+" + r.minimize_mode +
-                        (std::string_view(r.rephase) == "on" ? ""
-                                                             : "-norephase"),
-                    r.phase, std::to_string(r.points),
+    std::snprintf(cps, sizeof cps, "%.0f", r.per_sec(r.conflicts));
+    std::snprintf(pps, sizeof pps, "%.0f", r.per_sec(r.propagations));
+    rows.push_back({r.workload, r.backend, r.phase, std::to_string(r.points),
                     bench::fmt_seconds(r.wall_seconds),
                     std::to_string(r.conflicts), cps, pps});
   }
-  bench::emit("solver_core",
-              "Solver core: PB propagator throughput (MiniPB)",
-              {"workload", "backend", "pb_mode", "heuristics", "phase",
-               "points", "wall(s)", "conflicts", "conflicts/s", "props/s"},
+  bench::emit("solver_core", "Solver core throughput (MiniPB)",
+              {"workload", "backend", "phase", "points", "wall(s)",
+               "conflicts", "conflicts/s", "props/s"},
               rows);
 
   write_json("BENCH_solver.json", runs);
   std::printf("(JSON written to BENCH_solver.json)\n");
-
-  // The headline numbers. The end-to-end grid mixes encode and clause
-  // work into the denominator; the PB-core warm rounds isolate what the
-  // watched-sum propagator actually changed.
-  const double grid =
-      rate_of(runs, "fig5a_grid", "cold", "watched") /
-      std::max(1.0, rate_of(runs, "fig5a_grid", "cold", "counter"));
-  const double core =
-      rate_of(runs, "fig5a_pb_core", "warm", "watched") /
-      std::max(1.0, rate_of(runs, "fig5a_pb_core", "warm", "counter"));
-  std::printf("fig5a_grid cold watched/counter propagation throughput: "
-              "%.2fx\n", grid);
-  std::printf("fig5a_pb_core warm watched/counter propagation throughput: "
-              "%.2fx\n", core);
-  if (fig3a_race_wall > 0)
-    std::printf("fig3a_grid cold seed-config/race wall speedup: %.2fx\n",
-                fig3a_seed_wall / fig3a_race_wall);
+  if (race.wall_seconds > 0)
+    std::printf("fig3a_grid cold minipb/race wall ratio: %.2fx\n",
+                mini.wall_seconds / race.wall_seconds);
   return 0;
 }

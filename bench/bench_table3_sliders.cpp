@@ -8,21 +8,10 @@
 // what must reproduce.
 #include "common/workloads.h"
 #include "synth/assistance.h"
-#include "topology/generator.h"
 
 int main() {
   using namespace cs;
-  model::ProblemSpec spec;
-  spec.network = topology::make_paper_example();
-  const model::ServiceId svc = spec.services.add("svc");
-  const auto& hosts = spec.network.hosts();
-  for (const topology::NodeId i : hosts)
-    for (const topology::NodeId j : hosts)
-      if (i != j) spec.flows.add(model::Flow{i, j, svc});
-  // 10% connectivity requirements, spread deterministically.
-  for (std::size_t f = 0; f < spec.flows.size(); f += 10)
-    spec.connectivity.add(static_cast<model::FlowId>(f));
-  spec.finalize();
+  const model::ProblemSpec spec = bench::make_paper_example_spec();
 
   const std::vector<synth::SliderChoice> rows = synth::slider_assistance(spec);
   std::vector<std::vector<std::string>> out;

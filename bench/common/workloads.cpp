@@ -117,6 +117,20 @@ model::ProblemSpec make_locality_spec(topology::TopologyKind kind, int hosts,
   return spec;
 }
 
+model::ProblemSpec make_paper_example_spec() {
+  model::ProblemSpec spec;
+  spec.network = topology::make_paper_example();
+  const model::ServiceId svc = spec.services.add("svc");
+  const auto& hosts = spec.network.hosts();
+  for (const topology::NodeId i : hosts)
+    for (const topology::NodeId j : hosts)
+      if (i != j) spec.flows.add(model::Flow{i, j, svc});
+  for (std::size_t f = 0; f < spec.flows.size(); f += 10)
+    spec.connectivity.add(static_cast<model::FlowId>(f));
+  spec.finalize();
+  return spec;
+}
+
 TimedRun run_synthesis(const model::ProblemSpec& spec,
                        const model::Sliders& sliders) {
   // One span per cold synthesis; the encoder/solver layers below nest

@@ -81,6 +81,11 @@ model::ProblemSpec make_eval_spec(topology::TopologyKind kind, int hosts,
 model::ProblemSpec make_locality_spec(topology::TopologyKind kind, int hosts,
                                       std::uint64_t seed);
 
+/// The paper's running example network (Fig. 3 / Table III benches): one
+/// service flow between every ordered host pair, every 10th flow a
+/// connectivity requirement, sliders left at zero.
+model::ProblemSpec make_paper_example_spec();
+
 struct TimedRun {
   smt::CheckResult status = smt::CheckResult::kUnknown;
   /// Synthesis time = model generation + constraint verification (the

@@ -3,7 +3,7 @@
 committed baseline. The artifact's top-level "schema" field selects the
 validator:
 
-  cs-bench-solver-v2  (BENCH_solver.json, bench_solver_core)
+  cs-bench-solver-v3  (BENCH_solver.json, bench_solver_core)
   cs-bench-load-v1    (BENCH_load.json, bench_load)
   cs-bench-scale-v1   (BENCH_scale.json, bench_fig6_scale)
   cs-bench-churn-v1   (BENCH_churn.json, bench_fig7_churn)
@@ -12,21 +12,16 @@ Usage: check_bench.py <bench.json> [--baseline <baseline.json>]
 
 Schema checks (stdlib json only; exit 2 on failure — the emitter broke):
 
-cs-bench-solver-v2:
-  * "runs" is a non-empty array; every run carries
-    workload/backend/pb_mode/restart_mode/minimize_mode/rephase/phase
+cs-bench-solver-v3:
+  * "runs" is a non-empty array; every run carries workload/backend/phase
     plus numeric points, wall_seconds, conflicts, propagations,
     conflicts_per_sec, propagations_per_sec, rephases,
     minimized_literals, peak_rss_bytes;
-  * backend is minipb|race, pb_mode is watched|counter, restart_mode is
-    glucose|luby, minimize_mode is recursive|local, rephase is on|off,
-    phase is cold|warm, counts are non-negative, (workload, backend,
-    pb_mode, restart_mode, minimize_mode, rephase, phase) keys are
-    unique;
+  * backend is minipb|race, phase is cold|warm, counts are non-negative,
+    (workload, backend, phase) keys are unique;
   * the stated rates agree with conflicts/wall and propagations/wall;
-  * when the artifact has the fig3a_grid headline pair (the seed
-    configuration vs the portfolio racer), the wall-clock speedup is
-    printed as an advisory.
+  * when the artifact has the fig3a_grid pair (MiniPB vs the portfolio
+    racer), the MiniPB/race wall ratio is printed as an advisory.
 
 cs-bench-load-v1:
   * "runs" is a non-empty array; every run carries backend/mode strings
@@ -93,13 +88,12 @@ MIN_REQUESTS = 50
 MIN_HOSTS = 50
 MIN_STEPS = 10
 
-SOLVER_SCHEMA = "cs-bench-solver-v2"
+SOLVER_SCHEMA = "cs-bench-solver-v3"
 LOAD_SCHEMA = "cs-bench-load-v1"
 SCALE_SCHEMA = "cs-bench-scale-v1"
 CHURN_SCHEMA = "cs-bench-churn-v1"
 
-SOLVER_STR = ("workload", "backend", "pb_mode", "restart_mode",
-              "minimize_mode", "rephase", "phase")
+SOLVER_STR = ("workload", "backend", "phase")
 SOLVER_NUM = ("points", "wall_seconds", "conflicts", "propagations",
               "conflicts_per_sec", "propagations_per_sec", "rephases",
               "minimized_literals", "peak_rss_bytes")
@@ -169,19 +163,9 @@ def validate_solver(doc, path):
         check_fields(run, where, SOLVER_STR, SOLVER_NUM)
         if run["backend"] not in ("minipb", "race"):
             schema_fail(f"{where}: backend {run['backend']!r}")
-        if run["pb_mode"] not in ("watched", "counter"):
-            schema_fail(f"{where}: pb_mode {run['pb_mode']!r}")
-        if run["restart_mode"] not in ("glucose", "luby"):
-            schema_fail(f"{where}: restart_mode {run['restart_mode']!r}")
-        if run["minimize_mode"] not in ("recursive", "local"):
-            schema_fail(f"{where}: minimize_mode {run['minimize_mode']!r}")
-        if run["rephase"] not in ("on", "off"):
-            schema_fail(f"{where}: rephase {run['rephase']!r}")
         if run["phase"] not in ("cold", "warm"):
             schema_fail(f"{where}: phase {run['phase']!r}")
-        key = (run["workload"], run["backend"], run["pb_mode"],
-               run["restart_mode"], run["minimize_mode"], run["rephase"],
-               run["phase"])
+        key = (run["workload"], run["backend"], run["phase"])
         if key in keyed:
             schema_fail(f"{where}: duplicate run key {key}")
         keyed[key] = run
@@ -191,25 +175,16 @@ def validate_solver(doc, path):
 
 
 def solver_advisories(current):
-    """Prints the fig3a_grid headline: seed-config vs race wall speedup.
+    """Prints the fig3a_grid pair: MiniPB vs race cold wall ratio.
     Advisory only — wall clocks are machine-speed dependent."""
-    seed = race = None
-    for key, run in current.items():
-        if run["workload"] != "fig3a_grid" or run["phase"] != "cold":
-            continue
-        if run["backend"] == "race":
-            race = run
-        elif (run["backend"], run["restart_mode"], run["minimize_mode"],
-              run["rephase"]) == ("minipb", "luby", "local", "off"):
-            seed = run
-    if seed is None or race is None:
+    mini = current.get(("fig3a_grid", "minipb", "cold"))
+    race = current.get(("fig3a_grid", "race", "cold"))
+    if mini is None or race is None or race["wall_seconds"] <= 0:
         return
-    if race["wall_seconds"] <= 0:
-        return
-    speedup = seed["wall_seconds"] / race["wall_seconds"]
-    print(f"check_bench: advisory: fig3a_grid cold wall speedup "
-          f"(seed-config {seed['wall_seconds']:.3f}s / race "
-          f"{race['wall_seconds']:.3f}s) = {speedup:.2f}x")
+    ratio = mini["wall_seconds"] / race["wall_seconds"]
+    print(f"check_bench: advisory: fig3a_grid cold wall ratio "
+          f"(minipb {mini['wall_seconds']:.3f}s / race "
+          f"{race['wall_seconds']:.3f}s) = {ratio:.2f}x")
 
 
 def validate_load(doc, path):

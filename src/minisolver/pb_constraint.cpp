@@ -45,18 +45,11 @@ PbConstraint normalize_pb(std::vector<PbTerm> terms, std::int64_t bound) {
             });
 
   out.max_coeff = out.terms.empty() ? 0 : out.terms.front().coeff;
-  out.max_possible = 0;
-  for (const PbTerm& t : out.terms) out.max_possible += t.coeff;
 
   // Cap coefficients at the bound: a_i > bound behaves identically to
   // a_i = bound and keeps slack arithmetic well-conditioned.
   if (out.bound > 0) {
-    for (PbTerm& t : out.terms) {
-      if (t.coeff > out.bound) {
-        out.max_possible -= t.coeff - out.bound;
-        t.coeff = out.bound;
-      }
-    }
+    for (PbTerm& t : out.terms) t.coeff = std::min(t.coeff, out.bound);
     out.max_coeff = std::min(out.max_coeff, out.bound);
   }
   // Watched-sum working state starts empty; the solver builds the watched

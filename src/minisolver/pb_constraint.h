@@ -6,22 +6,15 @@
 // needs. Constraints are normalized so all coefficients are positive
 // (negative terms flip the literal and shift the bound).
 //
-// The solver offers two propagation strategies (Solver::PbMode):
-//
-//   * Watched-sum (default): only a prefix of the coefficient-descending
-//     term list is watched. While `watch_sum` — the Σ a_i over watched,
-//     non-false terms — is at least bound + max_coeff, neither a conflict
-//     nor a propagation is possible and falsifications of unwatched
-//     literals are never even visited. When a watched literal falls below
-//     the threshold the prefix grows; once every term is watched,
-//     watch_sum equals the counter method's max_possible and the same
-//     conflict/propagation rules apply.
-//   * Counter (reference): the solver maintains `max_possible` = Σ a_i
-//     over literals not currently false, visiting every constraint on
-//     every falsification of any of its literals. When max_possible <
-//     bound the constraint is conflicting; when an unassigned literal has
-//     a_i > max_possible − bound it is forced true. Kept compiled in as a
-//     debug-checked reference propagator for differential testing.
+// The solver propagates them by watched sums: only a prefix of the
+// coefficient-descending term list is watched. While `watch_sum` — the
+// Σ a_i over watched, non-false terms — is at least bound + max_coeff,
+// neither a conflict nor a propagation is possible and falsifications of
+// unwatched literals are never even visited. When a watched literal falls
+// below the threshold the prefix grows; once every term is watched,
+// watch_sum is Σ a_i over the non-false terms: the constraint conflicts
+// when it drops below bound, and an unassigned literal with
+// a_i > watch_sum − bound is forced true.
 #pragma once
 
 #include <cstdint>
@@ -42,14 +35,12 @@ struct PbConstraint {
   std::int64_t bound = 0;
 
   // --- solver working state --------------------------------------------
-  /// Counter mode: Σ coeff over terms whose literal is not assigned false.
-  std::int64_t max_possible = 0;
   /// Largest coefficient (propagation trigger threshold).
   std::int64_t max_coeff = 0;
-  /// Watched-sum mode: Σ coeff over watched terms (the first `num_watched`
-  /// of the descending list) whose literal is not assigned false.
+  /// Σ coeff over watched terms (the first `num_watched` of the
+  /// descending list) whose literal is not assigned false.
   std::int64_t watch_sum = 0;
-  /// Watched-sum mode: length of the watched prefix. Watches only grow;
+  /// Length of the watched prefix. Watches only grow during search;
   /// backtracking restores watch_sum, never shrinks the prefix.
   std::size_t num_watched = 0;
 

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cmath>
 #include <limits>
 
-#include "minisolver/luby.h"
 #include "util/error.h"
 
 namespace cs::minisolver {
@@ -28,8 +25,6 @@ Var Solver::new_var() {
   watches_.emplace_back();
   bin_watches_.emplace_back();
   bin_watches_.emplace_back();
-  pb_occs_.emplace_back();
-  pb_occs_.emplace_back();
   pb_watch_occs_.emplace_back();
   pb_watch_occs_.emplace_back();
   order_.insert(v);
@@ -49,15 +44,8 @@ void Solver::reserve_vars(std::size_t n) {
   trail_.reserve(n);
   watches_.reserve(2 * n);
   bin_watches_.reserve(2 * n);
-  pb_occs_.reserve(2 * n);
   pb_watch_occs_.reserve(2 * n);
   order_.reserve(n);
-}
-
-void Solver::set_pb_mode(PbMode mode) {
-  CS_REQUIRE(pbs_.empty(),
-             "set_pb_mode after PB constraints were added");
-  pb_mode_ = mode;
 }
 
 bool Solver::add_clause(std::vector<Lit> lits) {
@@ -123,46 +111,28 @@ bool Solver::add_linear_ge(std::vector<PbTerm> terms, std::int64_t bound) {
     polarity_[v] = phase_vote_[v] >= 0 ? 1 : 0;
   }
 
-  if (pb_mode_ == PbMode::kCounter) {
-    for (const PbTerm& t : stored->terms)
-      pb_occs_[t.lit.index()].push_back({stored, t.coeff});
-    // Account for level-0 assignments made before this constraint arrived.
-    for (const PbTerm& t : stored->terms)
-      if (value(t.lit) == LBool::kFalse) stored->max_possible -= t.coeff;
-    if (stored->max_possible < stored->bound) {
+  // Build the initial watched prefix: watch descending-coefficient terms
+  // until the non-false watched mass reaches bound + max_coeff (then no
+  // falsification of an unwatched literal can matter).
+  const std::int64_t threshold = stored->bound + stored->max_coeff;
+  while (stored->num_watched < stored->terms.size() &&
+         stored->watch_sum < threshold) {
+    const PbTerm& t = stored->terms[stored->num_watched++];
+    pb_watch_occs_[t.lit.index()].push_back({stored, t.coeff});
+    if (value(t.lit) != LBool::kFalse) stored->watch_sum += t.coeff;
+  }
+  if (stored->watch_sum < threshold) {
+    // Fully watched: watch_sum is Σ coeff over the non-false terms, so
+    // the constraint conflicts or propagates on its slack right away.
+    if (stored->watch_sum < stored->bound) {
       ok_ = false;
       return false;
     }
-    const std::int64_t slack = stored->max_possible - stored->bound;
+    const std::int64_t slack = stored->watch_sum - stored->bound;
     for (const PbTerm& t : stored->terms) {
       if (t.coeff <= slack) break;  // sorted by coefficient, descending
       if (value(t.lit) == LBool::kUndef)
         unchecked_enqueue(t.lit, Reason{kRefUndef, stored});
-    }
-  } else {
-    // Build the initial watched prefix: watch descending-coefficient
-    // terms until the non-false watched mass reaches bound + max_coeff
-    // (then no falsification of an unwatched literal can matter).
-    const std::int64_t threshold = stored->bound + stored->max_coeff;
-    while (stored->num_watched < stored->terms.size() &&
-           stored->watch_sum < threshold) {
-      const PbTerm& t = stored->terms[stored->num_watched++];
-      pb_watch_occs_[t.lit.index()].push_back({stored, t.coeff});
-      if (value(t.lit) != LBool::kFalse) stored->watch_sum += t.coeff;
-    }
-    if (stored->watch_sum < threshold) {
-      // Fully watched: watch_sum is exactly the counter method's
-      // max_possible, so the same conflict/propagation rules apply.
-      if (stored->watch_sum < stored->bound) {
-        ok_ = false;
-        return false;
-      }
-      const std::int64_t slack = stored->watch_sum - stored->bound;
-      for (const PbTerm& t : stored->terms) {
-        if (t.coeff <= slack) break;
-        if (value(t.lit) == LBool::kUndef)
-          unchecked_enqueue(t.lit, Reason{kRefUndef, stored});
-      }
     }
   }
   ok_ = propagate().is_none();
@@ -183,14 +153,9 @@ void Solver::unchecked_enqueue(Lit p, Reason reason) {
   trail_pos_[v] = static_cast<std::int32_t>(trail_.size());
   reason_[v] = reason;
   trail_.push_back(p);
-  // ~p just became false; maintain whichever PB sum the mode tracks.
-  if (pb_mode_ == PbMode::kCounter) {
-    for (auto& [pb, coeff] : pb_occs_[(~p).index()])
-      pb->max_possible -= coeff;
-  } else {
-    for (auto& [pb, coeff] : pb_watch_occs_[(~p).index()])
-      pb->watch_sum -= coeff;
-  }
+  // ~p just became false: drop it from every watched sum it is part of.
+  for (auto& [pb, coeff] : pb_watch_occs_[(~p).index()])
+    pb->watch_sum -= coeff;
 }
 
 void Solver::cancel_until(int target_level) {
@@ -203,16 +168,11 @@ void Solver::cancel_until(int target_level) {
     const auto v = static_cast<std::size_t>(p.var());
     assigns_[v] = LBool::kUndef;
     reason_[v] = Reason{};
-    if (pb_mode_ == PbMode::kCounter) {
-      for (auto& [pb, coeff] : pb_occs_[(~p).index()])
-        pb->max_possible += coeff;
-    } else {
-      // Watches registered while ~p was already false never contributed
-      // to watch_sum; once ~p is unassigned every watched occurrence
-      // contributes, so the unconditional add is the exact inverse.
-      for (auto& [pb, coeff] : pb_watch_occs_[(~p).index()])
-        pb->watch_sum += coeff;
-    }
+    // Watches registered while ~p was already false never contributed to
+    // watch_sum; once ~p is unassigned every watched occurrence
+    // contributes, so the unconditional add is the exact inverse.
+    for (auto& [pb, coeff] : pb_watch_occs_[(~p).index()])
+      pb->watch_sum += coeff;
     order_.insert(p.var());
   }
   trail_.resize(static_cast<std::size_t>(floor));
@@ -284,50 +244,34 @@ Solver::Reason Solver::propagate() {
     ws.resize(keep);
     if (!conflict.is_none()) return conflict;
 
-    // --- PB propagation over constraints watching/containing ~p ---------
-    if (pb_mode_ == PbMode::kWatchedSum) {
-      // Index-based loop: extending a watched prefix can append to this
-      // very occurrence list (when the newly watched term's literal is
-      // ~p), so the vector must be re-fetched every iteration.
-      const std::size_t fidx = false_lit.index();
-      for (std::size_t oi = 0; oi < pb_watch_occs_[fidx].size(); ++oi) {
-        PbConstraint* pb = pb_watch_occs_[fidx][oi].first;
-        const std::int64_t threshold = pb->bound + pb->max_coeff;
-        if (pb->watch_sum >= threshold) continue;
-        // Grow the watched prefix until the invariant is restored or
-        // every term is watched. Terms already false join the watch list
-        // without contributing to watch_sum.
-        while (pb->num_watched < pb->terms.size() &&
-               pb->watch_sum < threshold) {
-          const PbTerm& t = pb->terms[pb->num_watched++];
-          pb_watch_occs_[t.lit.index()].push_back({pb, t.coeff});
-          ++pb_watch_growth_;
-          if (value(t.lit) != LBool::kFalse) pb->watch_sum += t.coeff;
-        }
-        if (pb->watch_sum >= threshold) continue;
-        // Fully watched: watch_sum == Σ coeff over non-false terms.
-        if (pb->watch_sum < pb->bound) return Reason{kRefUndef, pb};
-        const std::int64_t slack = pb->watch_sum - pb->bound;
-        for (const PbTerm& t : pb->terms) {
-          if (t.coeff <= slack) break;  // descending coefficients
-          if (value(t.lit) == LBool::kUndef) {
-            ++stats_.pb_propagations;
-            unchecked_enqueue(t.lit, Reason{kRefUndef, pb});
-          }
-        }
+    // --- PB propagation over constraints watching ~p --------------------
+    // Index-based loop: extending a watched prefix can append to this very
+    // occurrence list (when the newly watched term's literal is ~p), so
+    // the vector must be re-fetched every iteration.
+    const std::size_t fidx = false_lit.index();
+    for (std::size_t oi = 0; oi < pb_watch_occs_[fidx].size(); ++oi) {
+      PbConstraint* pb = pb_watch_occs_[fidx][oi].first;
+      const std::int64_t threshold = pb->bound + pb->max_coeff;
+      if (pb->watch_sum >= threshold) continue;
+      // Grow the watched prefix until the invariant is restored or every
+      // term is watched. Terms already false join the watch list without
+      // contributing to watch_sum.
+      while (pb->num_watched < pb->terms.size() &&
+             pb->watch_sum < threshold) {
+        const PbTerm& t = pb->terms[pb->num_watched++];
+        pb_watch_occs_[t.lit.index()].push_back({pb, t.coeff});
+        ++pb_watch_growth_;
+        if (value(t.lit) != LBool::kFalse) pb->watch_sum += t.coeff;
       }
-    } else {
-      for (auto& [pb, coeff] : pb_occs_[false_lit.index()]) {
-        (void)coeff;
-        if (pb->max_possible < pb->bound) return Reason{kRefUndef, pb};
-        const std::int64_t slack = pb->max_possible - pb->bound;
-        if (slack >= pb->max_coeff) continue;
-        for (const PbTerm& t : pb->terms) {
-          if (t.coeff <= slack) break;  // descending coefficients
-          if (value(t.lit) == LBool::kUndef) {
-            ++stats_.pb_propagations;
-            unchecked_enqueue(t.lit, Reason{kRefUndef, pb});
-          }
+      if (pb->watch_sum >= threshold) continue;
+      // Fully watched: watch_sum == Σ coeff over non-false terms.
+      if (pb->watch_sum < pb->bound) return Reason{kRefUndef, pb};
+      const std::int64_t slack = pb->watch_sum - pb->bound;
+      for (const PbTerm& t : pb->terms) {
+        if (t.coeff <= slack) break;  // descending coefficients
+        if (value(t.lit) == LBool::kUndef) {
+          ++stats_.pb_propagations;
+          unchecked_enqueue(t.lit, Reason{kRefUndef, pb});
         }
       }
     }
@@ -471,15 +415,12 @@ int Solver::analyze(Reason conflict, std::vector<Lit>& learnt) {
   learnt[0] = ~p;
 
   // Conflict-clause minimization: drop literals implied by the rest of
-  // the clause through their (clause or PB) reasons. Sound in both modes
-  // because reason literals always precede the justified literal on the
-  // trail, so justifications cannot be circular. Both paths clear every
-  // seen_ bit analyze set (plus any lit_redundant added).
+  // the clause through their (clause or PB) reasons. Sound because reason
+  // literals always precede the justified literal on the trail, so
+  // justifications cannot be circular. Clears every seen_ bit analyze set
+  // (plus any lit_redundant added).
   const std::size_t before_min = learnt.size();
-  if (minimize_mode_ == MinimizeMode::kRecursive)
-    minimize_recursive(learnt);
-  else
-    minimize_local(learnt);
+  minimize_recursive(learnt);
   stats_.minimized_literals +=
       static_cast<std::int64_t>(before_min - learnt.size());
 
@@ -493,41 +434,6 @@ int Solver::analyze(Reason conflict, std::vector<Lit>& learnt) {
   }
   std::swap(learnt[1], learnt[max_i]);
   return level_[static_cast<std::size_t>(learnt[1].var())];
-}
-
-void Solver::minimize_local(std::vector<Lit>& learnt) {
-  // The local check of Sörensson/Biere: a literal is redundant when every
-  // literal of its reason is at level 0 or already in the learnt clause.
-  std::vector<char> in_learnt(num_vars(), 0);
-  for (std::size_t i = 1; i < learnt.size(); ++i)
-    in_learnt[static_cast<std::size_t>(learnt[i].var())] = 1;
-  // seen_ must be cleared for every collected literal — including ones the
-  // pruning drops — or stale bits corrupt later conflict analyses.
-  const std::vector<Lit> collected(learnt.begin() + 1, learnt.end());
-  std::vector<Lit> reason_lits;
-  std::vector<Lit> pruned;
-  pruned.push_back(learnt[0]);
-  for (std::size_t i = 1; i < learnt.size(); ++i) {
-    const Lit q = learnt[i];
-    const Reason& r = reason_[static_cast<std::size_t>(q.var())];
-    bool redundant = false;
-    if (!r.is_none()) {
-      reason_literals(r, ~q, reason_lits);
-      redundant = !reason_lits.empty();
-      for (const Lit x : reason_lits) {
-        const auto xv = static_cast<std::size_t>(x.var());
-        if (level_[xv] != 0 && !in_learnt[xv]) {
-          redundant = false;
-          break;
-        }
-      }
-    }
-    if (!redundant) pruned.push_back(q);
-    else in_learnt[static_cast<std::size_t>(q.var())] = 0;
-  }
-  learnt = std::move(pruned);
-  for (const Lit l : collected)
-    seen_[static_cast<std::size_t>(l.var())] = 0;
 }
 
 bool Solver::lit_redundant(Lit p0, std::uint32_t abstract_levels) {
@@ -809,7 +715,6 @@ void Solver::maybe_gc() {
 }
 
 void Solver::retighten_pb_watches() {
-  if (pb_mode_ != PbMode::kWatchedSum) return;
   // Growth-triggered: scanning every constraint pays off only once the
   // prefixes have inflated measurably past tight; below the threshold
   // the shrink/regrow churn costs more than the shorter lists save.
@@ -887,16 +792,13 @@ void Solver::garbage_collect() {
   ca_ = std::move(fresh);
 }
 
-Solver::Result Solver::search(std::int64_t conflict_budget,
-                              const std::vector<Lit>& assumptions) {
-  std::int64_t conflicts_here = 0;
+Solver::Result Solver::search(const std::vector<Lit>& assumptions) {
   std::vector<Lit> learnt;
 
   while (true) {
     const Reason conflict = propagate();
     if (!conflict.is_none()) {
       ++stats_.conflicts;
-      ++conflicts_here;
       if (progress_every_ > 0 && stats_.conflicts >= next_progress_at_) {
         next_progress_at_ = stats_.conflicts + progress_every_;
         progress_(stats_);
@@ -944,21 +846,16 @@ Solver::Result Solver::search(std::int64_t conflict_budget,
     // Best-phase tracking for rephasing: snapshot the saved polarities
     // whenever the trail reaches a new high-water mark (a ~3% growth
     // threshold bounds the O(vars) copies to a logarithmic count).
-    if (rephase_enabled_ &&
-        trail_.size() > best_trail_size_ + best_trail_size_ / 32) {
+    if (trail_.size() > best_trail_size_ + best_trail_size_ / 32) {
       best_trail_size_ = trail_.size();
       best_phase_.assign(polarity_.begin(), polarity_.end());
     }
 
-    const bool glucose_due = glucose_restart_due();
-    if (conflicts_here >= conflict_budget || glucose_due) {
+    if (glucose_restart_due()) {
       ++stats_.restarts;
-      if (glucose_due) {
-        ++stats_.glucose_restarts;
-        recent_count_ = 0;
-        recent_pos_ = 0;
-        recent_lbd_sum_ = 0;
-      }
+      recent_count_ = 0;
+      recent_pos_ = 0;
+      recent_lbd_sum_ = 0;
       cancel_until(0);
       return Result::kUnknown;  // restart
     }
@@ -966,22 +863,15 @@ Solver::Result Solver::search(std::int64_t conflict_budget,
       cancel_until(0);
       return Result::kUnknown;
     }
-    // Clause-DB reduction cadence follows the restart mode's native
-    // policy. kGlucose reduces on Glucose's conflict schedule (first at
-    // kReduceBase conflicts, then every kReduceBase + kReduceInc·k) —
+    // Clause-DB reduction on Glucose's conflict schedule (first at
+    // kReduceBase conflicts, then every kReduceBase + kReduceInc·k):
     // aggressive deletion keeps the local tier small, so propagation
-    // stays fast across long capped burns. kLuby keeps the MiniSat-style
-    // geometric allowance the seed configuration shipped with.
-    if (restart_mode_ == RestartMode::kGlucose) {
-      if (stats_.conflicts >= next_reduce_at_) {
-        reduce_db();
-        ++reduce_count_;
-        next_reduce_at_ =
-            stats_.conflicts + kReduceBase + kReduceInc * reduce_count_;
-      }
-    } else if (static_cast<double>(num_local_) > max_learnts_) {
+    // stays fast across long capped burns.
+    if (stats_.conflicts >= next_reduce_at_) {
       reduce_db();
-      max_learnts_ *= 1.5;
+      ++reduce_count_;
+      next_reduce_at_ =
+          stats_.conflicts + kReduceBase + kReduceInc * reduce_count_;
     }
 
     // Extend with assumptions first, then heuristics.
@@ -1018,7 +908,6 @@ Solver::Result Solver::search(std::int64_t conflict_budget,
 void Solver::note_learnt_lbd(int lbd) {
   ++lifetime_lbd_count_;
   lifetime_lbd_sum_ += lbd;
-  if (restart_mode_ != RestartMode::kGlucose) return;
   if (recent_lbds_.size() < kLbdWindow) recent_lbds_.resize(kLbdWindow, 0);
   if (recent_count_ == kLbdWindow)
     recent_lbd_sum_ -= recent_lbds_[recent_pos_];
@@ -1032,7 +921,6 @@ void Solver::note_learnt_lbd(int lbd) {
 void Solver::note_conflict_trail(std::size_t trail_size) {
   ++trail_size_count_;
   trail_size_sum_ += static_cast<std::int64_t>(trail_size);
-  if (restart_mode_ != RestartMode::kGlucose) return;
   if (trail_size_count_ < kBlockingMinConflicts) return;
   if (recent_count_ < kLbdWindow) return;
   // trail > (kBlockingNum/kBlockingDen) * avg, cross-multiplied.
@@ -1046,7 +934,6 @@ void Solver::note_conflict_trail(std::size_t trail_size) {
 }
 
 bool Solver::glucose_restart_due() const {
-  if (restart_mode_ != RestartMode::kGlucose) return false;
   if (recent_count_ < kLbdWindow) return false;
   // recent_avg > (kGlucoseNum/kGlucoseDen) * lifetime_avg, cross-
   // multiplied to stay in exact integer arithmetic (deterministic).
@@ -1084,10 +971,6 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
                "assumption uses unknown variable");
   }
 
-  if (max_learnts_ == 0)
-    max_learnts_ =
-        std::max(1000.0, 0.3 * static_cast<double>(clauses_.size()));
-
   conflicts_at_solve_start_ = stats_.conflicts;
   deadline_seconds_ = 0;
   if (time_limit_ms_ > 0) {
@@ -1111,14 +994,8 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
   next_rephase_at_ = stats_.conflicts + rephase_interval_;
 
   Result result = Result::kUnknown;
-  for (std::int64_t episode = 1; result == Result::kUnknown; ++episode) {
-    // kGlucose decides its own restart points; the episode budget only
-    // bounds kLuby (the huge budget never fires before the LBD check).
-    const std::int64_t budget =
-        restart_mode_ == RestartMode::kGlucose
-            ? std::numeric_limits<std::int64_t>::max()
-            : luby(episode) * 100;
-    result = search(budget, assumptions);
+  while (result == Result::kUnknown) {
+    result = search(assumptions);
     if (result == Result::kUnknown) {
       if (out_of_budget()) break;
       // Between restarts the solver sits at the root: fold any new
@@ -1126,8 +1003,7 @@ Solver::Result Solver::solve(const std::vector<Lit>& assumptions) {
       // watch prefixes the episode's falsification churn inflated.
       if (trail_.size() > simplified_trail_size_) simplify();
       retighten_pb_watches();
-      if (rephase_enabled_ && stats_.conflicts >= next_rephase_at_)
-        do_rephase();
+      if (stats_.conflicts >= next_rephase_at_) do_rephase();
     }
   }
   cancel_until(0);
@@ -1155,31 +1031,14 @@ bool Solver::model_value(Var v) const {
 
 bool Solver::pb_bookkeeping_ok() const {
   for (const PbConstraint& pb : pbs_) {
-    if (pb_mode_ == PbMode::kCounter) {
-      std::int64_t expect = 0;
-      for (const PbTerm& t : pb.terms)
-        if (value(t.lit) != LBool::kFalse) expect += t.coeff;
-      if (expect != pb.max_possible) return false;
-    } else {
-      if (pb.num_watched > pb.terms.size()) return false;
-      std::int64_t expect = 0;
-      for (std::size_t i = 0; i < pb.num_watched; ++i)
-        if (value(pb.terms[i].lit) != LBool::kFalse)
-          expect += pb.terms[i].coeff;
-      if (expect != pb.watch_sum) return false;
-    }
+    if (pb.num_watched > pb.terms.size()) return false;
+    std::int64_t expect = 0;
+    for (std::size_t i = 0; i < pb.num_watched; ++i)
+      if (value(pb.terms[i].lit) != LBool::kFalse)
+        expect += pb.terms[i].coeff;
+    if (expect != pb.watch_sum) return false;
   }
   return true;
-}
-
-std::pair<std::size_t, std::size_t> Solver::pb_watched_terms() const {
-  std::size_t watched = 0, total = 0;
-  for (const PbConstraint& pb : pbs_) {
-    total += pb.terms.size();
-    watched +=
-        pb_mode_ == PbMode::kWatchedSum ? pb.num_watched : pb.terms.size();
-  }
-  return {watched, total};
 }
 
 Solver::MemoryBreakdown Solver::memory_breakdown() const {
@@ -1196,14 +1055,12 @@ Solver::MemoryBreakdown Solver::memory_breakdown() const {
       bin_watches_.capacity() * sizeof(std::vector<BinWatcher>);
   for (const PbConstraint& pb : pbs_)
     mb.pb_bytes += sizeof(PbConstraint) + pb.terms.capacity() * sizeof(PbTerm);
-  for (const auto& occs : {std::cref(pb_occs_), std::cref(pb_watch_occs_)}) {
-    for (const auto& occ : occs.get())
-      mb.pb_occ_bytes +=
-          occ.capacity() * sizeof(std::pair<PbConstraint*, std::int64_t>);
+  for (const auto& occ : pb_watch_occs_)
     mb.pb_occ_bytes +=
-        occs.get().capacity() *
-        sizeof(std::vector<std::pair<PbConstraint*, std::int64_t>>);
-  }
+        occ.capacity() * sizeof(std::pair<PbConstraint*, std::int64_t>);
+  mb.pb_occ_bytes +=
+      pb_watch_occs_.capacity() *
+      sizeof(std::vector<std::pair<PbConstraint*, std::int64_t>>);
   mb.var_bytes =
       assigns_.capacity() * sizeof(LBool) + polarity_.capacity() +
       phase_vote_.capacity() * sizeof(std::int64_t) +

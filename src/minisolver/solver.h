@@ -8,31 +8,24 @@
 // 1-UIP clause learning, phase saving, LBD-tiered clause-database
 // reduction with root-level simplification) extended with slack-based
 // watched-sum pseudo-Boolean constraints Σ a_i·lit_i ≥ bound, which is
-// exactly the theory fragment the ConfigSynth encoding needs.
-// The older counter-method PB propagator stays compiled in as a
-// runtime-selectable reference (PbMode::kCounter) for differential
-// testing and benchmarking. The solver solves under assumptions and
-// extracts an unsat core over them, which powers the paper's Algorithm 1
-// (systematic analysis of UNSAT results) without Z3.
+// exactly the theory fragment the ConfigSynth encoding needs. The solver
+// solves under assumptions and extracts an unsat core over them, which
+// powers the paper's Algorithm 1 (systematic analysis of UNSAT results)
+// without Z3.
 //
-// Search heuristics are runtime-selectable so the differential fuzzer and
-// bench_solver_core can ablate each one independently:
-//   * restarts — classic Luby episodes (RestartMode::kLuby) or
-//     Glucose-style dynamic restarts (kGlucose, the default) driven by a
-//     fast/slow LBD moving-average pair: restart when the recent learnt
-//     clauses are markedly worse (higher LBD) than the lifetime average.
-//     The mode also picks the matching clause-DB reduction cadence:
-//     Glucose's conflict schedule vs MiniSat's geometric allowance.
-//   * learned-clause minimization — the local self-subsumption check
-//     (MinimizeMode::kLocal) or recursive minimization against reason
-//     clauses with the standard abstract-level filter (kRecursive, the
-//     default).
+// Search runs one configuration, the winner of the heuristic ablation
+// recorded in docs/BENCHMARKS.md:
+//   * restarts — Glucose-style dynamic restarts driven by a fast/slow LBD
+//     moving-average pair: restart when the recent learnt clauses are
+//     markedly worse (higher LBD) than the lifetime average, with
+//     Glucose's conflict schedule for clause-DB reduction.
+//   * learned-clause minimization — recursive minimization against
+//     reason clauses with the standard abstract-level filter.
 //   * rephasing — periodic polarity resets cycling through the
 //     best-phase snapshot (taken at the deepest trail seen), its
-//     inversion, and the original coefficient-vote phases; on by default.
+//     inversion, and the original coefficient-vote phases.
 // Every policy is a pure function of the formula — no wall clock, no
-// randomness — so capped solves stay bit-for-bit reproducible under any
-// configuration.
+// randomness — so capped solves stay bit-for-bit reproducible.
 #pragma once
 
 #include <cstdint>
@@ -52,22 +45,6 @@ class Solver {
  public:
   enum class Result { kSat, kUnsat, kUnknown };
 
-  /// Pseudo-Boolean propagation strategy. kWatchedSum visits a constraint
-  /// only when one of its *watched* literals is falsified and the watched
-  /// coefficient mass drops below bound + max_coeff; kCounter is the
-  /// original visit-on-every-falsification reference propagator, kept for
-  /// differential testing and as the benchmark baseline.
-  enum class PbMode { kWatchedSum, kCounter };
-
-  /// Restart policy: fixed Luby episodes or Glucose-style dynamic
-  /// restarts from the recent-vs-lifetime LBD average pair.
-  enum class RestartMode { kLuby, kGlucose };
-
-  /// Learned-clause minimization: the local self-subsumption check or
-  /// recursive resolution against reason clauses (MiniSat's litRedundant
-  /// with the abstract-level filter).
-  enum class MinimizeMode { kLocal, kRecursive };
-
   struct Stats {
     std::int64_t decisions = 0;
     std::int64_t propagations = 0;
@@ -84,12 +61,9 @@ class Solver {
     std::int64_t lbd_local = 0;
     /// Root-level simplification rounds run between restarts.
     std::int64_t db_simplify_rounds = 0;
-    /// Restarts fired by the Glucose LBD condition (subset of restarts;
-    /// 0 in kLuby mode — the live restart-mode ablation signal).
-    std::int64_t glucose_restarts = 0;
     /// Polarity-reset events (best/inverted/original rephase cycle).
     std::int64_t rephases = 0;
-    /// Literals removed from learnt clauses by minimization (either mode).
+    /// Literals removed from learnt clauses by minimization.
     std::int64_t minimized_literals = 0;
   };
 
@@ -138,24 +112,6 @@ class Solver {
   /// Adds Σ terms ≤ bound (encoded by negating coefficients).
   bool add_linear_le(std::vector<PbTerm> terms, std::int64_t bound);
 
-  /// Selects the PB propagation strategy. Must be called before the first
-  /// PB constraint is added; defaults to kWatchedSum.
-  void set_pb_mode(PbMode mode);
-  PbMode pb_mode() const { return pb_mode_; }
-
-  /// Selects the restart policy (default kGlucose). Takes effect at the
-  /// next solve() episode; callable at any time.
-  void set_restart_mode(RestartMode mode) { restart_mode_ = mode; }
-  RestartMode restart_mode() const { return restart_mode_; }
-
-  /// Selects the learned-clause minimization (default kRecursive).
-  void set_minimize_mode(MinimizeMode mode) { minimize_mode_ = mode; }
-  MinimizeMode minimize_mode() const { return minimize_mode_; }
-
-  /// Enables/disables periodic rephasing (default on).
-  void set_rephase(bool on) { rephase_enabled_ = on; }
-  bool rephase_enabled() const { return rephase_enabled_; }
-
   /// False once the constraint store is unsatisfiable at level 0.
   bool ok() const { return ok_; }
 
@@ -185,19 +141,11 @@ class Solver {
   std::size_t memory_estimate_bytes() const;
   MemoryBreakdown memory_breakdown() const;
 
-  /// Debug invariant check: recomputes every PB constraint's propagation
-  /// bookkeeping (watch_sum in kWatchedSum mode, max_possible in kCounter
-  /// mode) from the current assignment and compares against the
-  /// incrementally maintained values. The differential fuzzer calls this
-  /// after every solve.
+  /// Debug invariant check: recomputes every PB constraint's watch_sum
+  /// from the current assignment and compares it against the
+  /// incrementally maintained value. The fuzzer calls this after every
+  /// solve.
   bool pb_bookkeeping_ok() const;
-
-  /// Diagnostic: (watched terms, total terms) over all PB constraints.
-  /// In kWatchedSum mode the first component is the summed watch-prefix
-  /// length — the fraction tells how far the prefixes have degenerated
-  /// toward full (counter-equivalent) watching. In kCounter mode both
-  /// components equal the total term count.
-  std::pair<std::size_t, std::size_t> pb_watched_terms() const;
 
   /// Debug hook invoked with every learned clause (after minimization).
   /// Used by the test suite to audit soundness against reference models.
@@ -292,9 +240,9 @@ class Solver {
   void maybe_gc();
   void garbage_collect();
 
-  /// Root-level watch-prefix re-tightening (kWatchedSum only). The
-  /// prefix only ever grows during search — deep falsification churn
-  /// saturates it toward full (counter-equivalent) watching, and a
+  /// Root-level watch-prefix re-tightening. The prefix only ever grows
+  /// during search — deep falsification churn saturates it toward full
+  /// watching of every term, and a
   /// saturated prefix keeps paying occurrence-list updates for terms
   /// that can no longer matter. At the root every assignment is
   /// permanent, so the tight prefix is recomputable exactly: shrink
@@ -302,22 +250,21 @@ class Solver {
   /// Requires decision_level() == 0.
   void retighten_pb_watches();
 
-  /// One restart-bounded CDCL search episode.
-  Result search(std::int64_t conflict_budget,
-                const std::vector<Lit>& assumptions);
+  /// One CDCL search episode, until a verdict, a restart or the budget.
+  Result search(const std::vector<Lit>& assumptions);
 
   bool out_of_budget() const;
 
   /// Records a learnt clause's LBD in the Glucose restart averages.
   void note_learnt_lbd(int lbd);
-  /// Records the trail size at conflict time. kGlucose only: when the
-  /// trail is markedly deeper than its lifetime average the search is
+  /// Records the trail size at conflict time. When the trail is markedly
+  /// deeper than its lifetime average the search is
   /// plausibly close to a satisfying assignment, so the recent-LBD
   /// window is cleared — postponing the next dynamic restart by a full
   /// window (Glucose's "blocking restarts").
   void note_conflict_trail(std::size_t trail_size);
-  /// kGlucose only: recent LBD window is full and markedly above the
-  /// lifetime average — time to restart.
+  /// Recent LBD window is full and markedly above the lifetime average —
+  /// time to restart.
   bool glucose_restart_due() const;
 
   std::uint32_t abstract_level(Var v) const {
@@ -328,8 +275,6 @@ class Solver {
   /// Marks visited vars in seen_/minimize_toclear_; a failed probe rolls
   /// its own marks back.
   bool lit_redundant(Lit p0, std::uint32_t abstract_levels);
-  /// The local self-subsumption minimization (Sörensson/Biere).
-  void minimize_local(std::vector<Lit>& learnt);
   /// Recursive minimization with the abstract-level filter.
   void minimize_recursive(std::vector<Lit>& learnt);
 
@@ -361,10 +306,8 @@ class Solver {
   /// provably redundant literals). The count is a pure function of the
   /// formula, so capped solves stay deterministic.
   static constexpr std::int64_t kMinimizeBudget = 2000;
-  /// Glucose's clause-DB reduction schedule (kGlucose restart mode):
-  /// first reduction after kReduceBase conflicts, then every
-  /// kReduceBase + kReduceInc·k. The kLuby mode keeps the MiniSat-style
-  /// geometric max_learnts allowance instead.
+  /// Glucose's clause-DB reduction schedule: first reduction after
+  /// kReduceBase conflicts, then every kReduceBase + kReduceInc·k.
   static constexpr std::int64_t kReduceBase = 2000;
   static constexpr std::int64_t kReduceInc = 300;
 
@@ -390,23 +333,19 @@ class Solver {
   std::vector<ClauseRef> clauses_;
   std::vector<ClauseRef> learnts_;  // all tiers
   std::size_t num_local_ = 0;       // learnts currently in the local tier
-  double max_learnts_ = 0;
-  /// Glucose-cadence reduction state (kGlucose restart mode only): the
-  /// conflict count that triggers the next reduce_db, and how many
-  /// reductions have run (the schedule stretches by kReduceInc each).
+  /// Glucose-cadence reduction state: the conflict count that triggers
+  /// the next reduce_db, and how many reductions have run (the schedule
+  /// stretches by kReduceInc each).
   std::int64_t next_reduce_at_ = kReduceBase;
   std::int64_t reduce_count_ = 0;
   /// Root trail size after the last simplify(); another round runs only
   /// once new root facts arrive.
   std::size_t simplified_trail_size_ = 0;
 
-  PbMode pb_mode_ = PbMode::kWatchedSum;
   std::deque<PbConstraint> pbs_;
-  /// kCounter mode: pb_occs_[lit.index()] lists constraints containing
-  /// `lit` (hit when `lit` becomes false).
-  std::vector<std::vector<std::pair<PbConstraint*, std::int64_t>>> pb_occs_;
-  /// kWatchedSum mode: same shape, but only *watched* terms are
-  /// registered; the lists grow as watched prefixes extend.
+  /// pb_watch_occs_[lit.index()] lists the constraints *watching* `lit`
+  /// (hit when `lit` becomes false); the lists grow as watched prefixes
+  /// extend.
   std::vector<std::vector<std::pair<PbConstraint*, std::int64_t>>>
       pb_watch_occs_;
   /// Total PB terms across pbs_, and the number of propagate-time
@@ -422,9 +361,6 @@ class Solver {
   double clause_inc_ = 1.0;
   ActivityHeap order_;
 
-  RestartMode restart_mode_ = RestartMode::kGlucose;
-  MinimizeMode minimize_mode_ = MinimizeMode::kRecursive;
-  bool rephase_enabled_ = true;
   /// Glucose restart state: circular window of the last kLbdWindow learnt
   /// LBDs (cleared on every restart) against the lifetime LBD average.
   std::vector<int> recent_lbds_;

@@ -13,20 +13,7 @@ namespace cs::service {
 
 namespace {
 
-/// Counter name for one backend's probe count.
-const char* probe_counter_name(smt::BackendKind kind) {
-  switch (kind) {
-    case smt::BackendKind::kZ3:
-      return "probes_z3";
-    case smt::BackendKind::kMiniPb:
-      return "probes_minipb";
-    case smt::BackendKind::kRace:
-      return "probes_race";
-  }
-  return "probes_unknown";
-}
-
-/// Trace-span tag for a backend.
+/// Trace-span tag for a backend; also names its `probes_<tag>` counter.
 const char* backend_tag(smt::BackendKind kind) {
   switch (kind) {
     case smt::BackendKind::kZ3:
@@ -58,28 +45,11 @@ std::string_view reject_reason_name(RejectReason reason) {
 void SynthService::record_solver_effort(const synth::SweepPointResult& r,
                                         smt::BackendKind backend) {
   metrics_.counter("solver_probes_total").add(r.search.probes);
-  metrics_.counter(probe_counter_name(backend)).add(r.search.probes);
-  metrics_.counter("solver_conflicts_total").add(r.solver.conflicts);
-  metrics_.counter("solver_propagations_total").add(r.solver.propagations);
-  metrics_.counter("solver_decisions_total").add(r.solver.decisions);
-  metrics_.counter("solver_restarts_total").add(r.solver.restarts);
-  // Clause-DB composition (MiniPB only; zero deltas on Z3 requests).
-  metrics_.counter("solver_lbd_core_total").add(r.solver.lbd_core);
-  metrics_.counter("solver_lbd_tier2_total").add(r.solver.lbd_tier2);
-  metrics_.counter("solver_lbd_local_total").add(r.solver.lbd_local);
-  metrics_.counter("solver_db_simplify_rounds_total")
-      .add(r.solver.db_simplify_rounds);
-  // Search-heuristic activity (MiniPB only; zero deltas on Z3 requests).
-  metrics_.counter("solver_glucose_restarts_total")
-      .add(r.solver.glucose_restarts);
-  metrics_.counter("solver_rephases_total").add(r.solver.rephases);
-  metrics_.counter("solver_minimized_literals_total")
-      .add(r.solver.minimized_literals);
-  // Portfolio racing (race backend only): rounds run and first-decider
-  // wins per inner backend.
-  metrics_.counter("race_rounds_total").add(r.solver.race_rounds);
-  metrics_.counter("race_wins_minipb_total").add(r.solver.race_wins_minipb);
-  metrics_.counter("race_wins_z3_total").add(r.solver.race_wins_z3);
+  metrics_.counter(std::string("probes_") + backend_tag(backend))
+      .add(r.search.probes);
+  for (const smt::SolverStatField& f : smt::kSolverStatFields)
+    metrics_.counter("solver_" + std::string(f.name) + "_total")
+        .add(r.solver.*f.member);
 }
 
 SynthService::SynthService(ServiceConfig config)
@@ -111,7 +81,6 @@ model::Fingerprint SynthService::request_fingerprint(
   h.mix_i64(static_cast<std::int64_t>(request.synthesis.backend));
   h.mix_i64(request.synthesis.check_time_limit_ms);
   h.mix_i64(request.synthesis.check_conflict_limit);
-  h.mix_i64(static_cast<std::int64_t>(request.synthesis.threshold_mode));
   h.mix_fixed(request.optimize.resolution);
   h.mix_fixed(request.min_cost.resolution);
   h.mix_fixed(request.min_cost.max_budget);
@@ -131,7 +100,6 @@ model::Fingerprint SynthService::warm_fingerprint(
   h.mix_i64(static_cast<std::int64_t>(request.synthesis.backend));
   h.mix_i64(request.synthesis.check_time_limit_ms);
   h.mix_i64(request.synthesis.check_conflict_limit);
-  h.mix_i64(static_cast<std::int64_t>(request.synthesis.threshold_mode));
   return h.digest();
 }
 
@@ -410,16 +378,15 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
       out.result.search.design = std::move(sharded.design);
     }
     out.result.wall_seconds = shard_watch.elapsed_seconds();
-    metrics_.counter(probe_counter_name(request.synthesis.backend))
+    metrics_.counter(std::string("probes_") +
+                     backend_tag(request.synthesis.backend))
         .add(out.result.search.probes);
     metrics_.histogram("solve_ms").observe(out.result.wall_seconds * 1000.0);
     cache_.insert(out.fingerprint, out.result, &digests);
     return finish();
   }
 
-  const bool warm_eligible =
-      config_.warm_pool_limit > 0 &&
-      request.synthesis.threshold_mode == synth::ThresholdMode::kAssumption;
+  const bool warm_eligible = config_.warm_pool_limit > 0;
   model::Fingerprint warm_key;
   WarmEntry entry;
   if (warm_eligible) {

@@ -22,7 +22,7 @@
 //     kUnknown is re-run once with the cap raised by
 //     `retry_cap_factor` before the lower bound is reported.
 //   * warm synthesizer pool — encoded solvers are kept after a solve,
-//     keyed by (spec *shape* digest, backend, caps, threshold mode). A
+//     keyed by (spec *shape* digest, backend, caps). A
 //     repeat of the same encoding shape at *different* thresholds (a
 //     cache miss — including a spec retuned by a thresholds-only
 //     cs-delta-v1 delta) checks one out and re-solves by swapping
@@ -30,9 +30,8 @@
 //     encode entirely.
 //     Checkout removes the entry from the pool, so a warm synthesizer is
 //     never shared between workers; the per-request caps are re-applied
-//     on every checkout (Synthesizer::set_check_budget). Requests with
-//     ThresholdMode::kHard or a raised retry cap bypass the pool and
-//     solve cold.
+//     on every checkout (Synthesizer::set_check_budget). A retry at a
+//     raised cap bypasses the pool and solves cold.
 //   * metrics — every request feeds the MetricsRegistry (request/hit/
 //     rejection counters, per-backend probe counts, warm-pool hits and
 //     misses, cumulative solver-effort counters, queue-wait and
@@ -203,8 +202,8 @@ class SynthService {
 
   /// Warm-pool key of a request: the spec's *shape* digest
   /// (model::SpecDigests::shape() — topology + flows + UICs, excluding
-  /// the threshold/budget sub-digests) mixed with the backend, caps and
-  /// threshold mode — everything a synthesizer bakes in at construction.
+  /// the threshold/budget sub-digests) mixed with the backend and caps —
+  /// everything a synthesizer bakes in at construction.
   /// The point's thresholds and the spec's own sliders are deliberately
   /// absent: same-shape requests at different thresholds — including
   /// specs that differ only by a `retune` delta — share warm solvers.

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,10 +66,8 @@ struct SolverStats {
   std::int64_t lbd_tier2 = 0;
   std::int64_t lbd_local = 0;
   std::int64_t db_simplify_rounds = 0;
-  // Search-heuristic counters (MiniPB only): restarts fired by the
-  // Glucose LBD condition, polarity rephase events, and literals removed
-  // by learned-clause minimization.
-  std::int64_t glucose_restarts = 0;
+  // Search-heuristic counters (MiniPB only): polarity rephase events and
+  // literals removed by learned-clause minimization.
   std::int64_t rephases = 0;
   std::int64_t minimized_literals = 0;
   // Portfolio racing (RaceBackend only): completed race rounds and which
@@ -77,46 +76,53 @@ struct SolverStats {
   std::int64_t race_wins_minipb = 0;
   std::int64_t race_wins_z3 = 0;
 
-  SolverStats& operator+=(const SolverStats& o) {
-    conflicts += o.conflicts;
-    propagations += o.propagations;
-    decisions += o.decisions;
-    restarts += o.restarts;
-    learned_clauses += o.learned_clauses;
-    lbd_core += o.lbd_core;
-    lbd_tier2 += o.lbd_tier2;
-    lbd_local += o.lbd_local;
-    db_simplify_rounds += o.db_simplify_rounds;
-    glucose_restarts += o.glucose_restarts;
-    rephases += o.rephases;
-    minimized_literals += o.minimized_literals;
-    race_rounds += o.race_rounds;
-    race_wins_minipb += o.race_wins_minipb;
-    race_wins_z3 += o.race_wins_z3;
-    return *this;
-  }
+  SolverStats& operator+=(const SolverStats& o);
   /// Delta between two cumulative snapshots (this − o).
-  SolverStats operator-(const SolverStats& o) const {
-    SolverStats d = *this;
-    d.conflicts -= o.conflicts;
-    d.propagations -= o.propagations;
-    d.decisions -= o.decisions;
-    d.restarts -= o.restarts;
-    d.learned_clauses -= o.learned_clauses;
-    d.lbd_core -= o.lbd_core;
-    d.lbd_tier2 -= o.lbd_tier2;
-    d.lbd_local -= o.lbd_local;
-    d.db_simplify_rounds -= o.db_simplify_rounds;
-    d.glucose_restarts -= o.glucose_restarts;
-    d.rephases -= o.rephases;
-    d.minimized_literals -= o.minimized_literals;
-    d.race_rounds -= o.race_rounds;
-    d.race_wins_minipb -= o.race_wins_minipb;
-    d.race_wins_z3 -= o.race_wins_z3;
-    return d;
-  }
+  SolverStats operator-(const SolverStats& o) const;
   bool operator==(const SolverStats&) const = default;
 };
+
+/// One SolverStats counter: its metric name and its member.
+struct SolverStatField {
+  const char* name;
+  std::int64_t SolverStats::*member;
+};
+
+/// Every SolverStats counter, once. This list drives `+=` and `-`, the
+/// service's `solver_<name>_total` metrics and MiniPB's `minipb/<name>`
+/// trace samples, so a new counter is one member plus one row here.
+inline constexpr SolverStatField kSolverStatFields[] = {
+    {"conflicts", &SolverStats::conflicts},
+    {"propagations", &SolverStats::propagations},
+    {"decisions", &SolverStats::decisions},
+    {"restarts", &SolverStats::restarts},
+    {"learned_clauses", &SolverStats::learned_clauses},
+    {"lbd_core", &SolverStats::lbd_core},
+    {"lbd_tier2", &SolverStats::lbd_tier2},
+    {"lbd_local", &SolverStats::lbd_local},
+    {"db_simplify_rounds", &SolverStats::db_simplify_rounds},
+    {"rephases", &SolverStats::rephases},
+    {"minimized_literals", &SolverStats::minimized_literals},
+    {"race_rounds", &SolverStats::race_rounds},
+    {"race_wins_minipb", &SolverStats::race_wins_minipb},
+    {"race_wins_z3", &SolverStats::race_wins_z3},
+};
+static_assert(sizeof(SolverStats) ==
+                  std::size(kSolverStatFields) * sizeof(std::int64_t),
+              "every SolverStats member needs a kSolverStatFields row");
+
+inline SolverStats& SolverStats::operator+=(const SolverStats& o) {
+  for (const SolverStatField& f : kSolverStatFields)
+    this->*f.member += o.*f.member;
+  return *this;
+}
+
+inline SolverStats SolverStats::operator-(const SolverStats& o) const {
+  SolverStats d = *this;
+  for (const SolverStatField& f : kSolverStatFields)
+    d.*f.member -= o.*f.member;
+  return d;
+}
 
 /// Solver backend interface. All constraint additions happen before (or
 /// between) `check` calls; models and cores are valid until the next call

@@ -1,7 +1,6 @@
 #include "smt/mini_backend.h"
 
-#include <cstdlib>
-#include <string_view>
+#include <string>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -16,23 +15,30 @@ namespace {
 /// fine enough that the Fig. 4/5 workloads draw smooth timelines.
 constexpr std::int64_t kProgressSampleConflicts = 4096;
 
+SolverStats to_solver_stats(const minisolver::Solver::Stats& s) {
+  SolverStats out;
+  out.conflicts = s.conflicts;
+  out.propagations = s.propagations + s.pb_propagations;
+  out.decisions = s.decisions;
+  out.restarts = s.restarts;
+  out.learned_clauses = s.learned_clauses;
+  out.lbd_core = s.lbd_core;
+  out.lbd_tier2 = s.lbd_tier2;
+  out.lbd_local = s.lbd_local;
+  out.db_simplify_rounds = s.db_simplify_rounds;
+  out.rephases = s.rephases;
+  out.minimized_literals = s.minimized_literals;
+  return out;
+}
+
+/// One `minipb/<name>` timeline sample per SolverStats counter; Perfetto
+/// draws e.g. the three LBD tiers as stacked timelines, making
+/// reduce/simplify epochs visible over a solve.
 void emit_progress_sample(const minisolver::Solver::Stats& s) {
-  obs::counter("solver", "minipb/conflicts", s.conflicts);
-  obs::counter("solver", "minipb/propagations",
-               s.propagations + s.pb_propagations);
-  obs::counter("solver", "minipb/restarts", s.restarts);
-  obs::counter("solver", "minipb/learned", s.learned_clauses);
-  // Clause-DB composition: Perfetto draws the three tiers as stacked
-  // timelines, making reduce/simplify epochs visible over a solve.
-  obs::counter("solver", "minipb/lbd_core", s.lbd_core);
-  obs::counter("solver", "minipb/lbd_tier2", s.lbd_tier2);
-  obs::counter("solver", "minipb/lbd_local", s.lbd_local);
-  obs::counter("solver", "minipb/db_simplify", s.db_simplify_rounds);
-  // Heuristic activity: which restart policy is firing and how much the
-  // minimizer is shaving off learnt clauses.
-  obs::counter("solver", "minipb/glucose_restarts", s.glucose_restarts);
-  obs::counter("solver", "minipb/rephases", s.rephases);
-  obs::counter("solver", "minipb/minimized_lits", s.minimized_literals);
+  const SolverStats stats = to_solver_stats(s);
+  for (const SolverStatField& f : kSolverStatFields)
+    obs::counter("solver", (std::string("minipb/") + f.name).c_str(),
+                 stats.*f.member);
 }
 
 std::vector<minisolver::PbTerm> to_mini_terms(const std::vector<Term>& terms) {
@@ -64,21 +70,6 @@ std::int64_t max_sum(const std::vector<Term>& terms) {
 }
 
 }  // namespace
-
-MiniBackend::MiniBackend() {
-  const char* mode = std::getenv("CS_MINIPB_PB_MODE");
-  if (mode != nullptr && std::string_view(mode) == "counter")
-    solver_.set_pb_mode(minisolver::Solver::PbMode::kCounter);
-  const char* restart = std::getenv("CS_MINIPB_RESTART_MODE");
-  if (restart != nullptr && std::string_view(restart) == "luby")
-    solver_.set_restart_mode(minisolver::Solver::RestartMode::kLuby);
-  const char* minimize = std::getenv("CS_MINIPB_MINIMIZE");
-  if (minimize != nullptr && std::string_view(minimize) == "local")
-    solver_.set_minimize_mode(minisolver::Solver::MinimizeMode::kLocal);
-  const char* rephase = std::getenv("CS_MINIPB_REPHASE");
-  if (rephase != nullptr && std::string_view(rephase) == "0")
-    solver_.set_rephase(false);
-}
 
 BoolVar MiniBackend::new_bool(const std::string& name) {
   (void)name;  // MiniPB variables are anonymous
@@ -153,6 +144,10 @@ CheckResult MiniBackend::check(const std::vector<Lit>& assumptions) {
       return CheckResult::kUnknown;
   }
   return CheckResult::kUnknown;
+}
+
+SolverStats MiniBackend::statistics() const {
+  return to_solver_stats(solver_.stats());
 }
 
 bool MiniBackend::model_value(BoolVar v) const {

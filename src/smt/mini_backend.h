@@ -14,15 +14,6 @@ namespace cs::smt {
 
 class MiniBackend final : public Backend {
  public:
-  /// Honors the heuristic-ablation environment variables so whole-stack
-  /// A/B runs — benches, differential sweeps — need no API plumbing:
-  ///   CS_MINIPB_PB_MODE       "counter" selects the reference counter
-  ///                           propagator (default watched-sum)
-  ///   CS_MINIPB_RESTART_MODE  "luby" | "glucose" (default glucose)
-  ///   CS_MINIPB_MINIMIZE      "local" | "recursive" (default recursive)
-  ///   CS_MINIPB_REPHASE       "0" disables rephasing (default on)
-  MiniBackend();
-
   BoolVar new_bool(const std::string& name) override;
   std::size_t num_vars() const override { return solver_.num_vars(); }
 
@@ -48,28 +39,8 @@ class MiniBackend final : public Backend {
   std::size_t memory_bytes() const override {
     return solver_.memory_estimate_bytes();
   }
-  SolverStats statistics() const override {
-    const minisolver::Solver::Stats& s = solver_.stats();
-    SolverStats out;
-    out.conflicts = s.conflicts;
-    out.propagations = s.propagations + s.pb_propagations;
-    out.decisions = s.decisions;
-    out.restarts = s.restarts;
-    out.learned_clauses = s.learned_clauses;
-    out.lbd_core = s.lbd_core;
-    out.lbd_tier2 = s.lbd_tier2;
-    out.lbd_local = s.lbd_local;
-    out.db_simplify_rounds = s.db_simplify_rounds;
-    out.glucose_restarts = s.glucose_restarts;
-    out.rephases = s.rephases;
-    out.minimized_literals = s.minimized_literals;
-    return out;
-  }
+  SolverStats statistics() const override;
   std::string name() const override { return "minipb"; }
-
-  const minisolver::Solver::Stats& solver_stats() const {
-    return solver_.stats();
-  }
 
   /// Testing access to the underlying solver (debug hooks).
   minisolver::Solver& solver_for_testing() { return solver_; }

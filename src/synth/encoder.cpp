@@ -1,6 +1,7 @@
 #include "synth/encoder.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -674,36 +675,16 @@ smt::Lit Encoding::cost_guard(util::Fixed budget) {
   return guard;
 }
 
-std::optional<smt::Lit> Encoding::add_threshold(ThresholdKind kind,
-                                                util::Fixed value,
-                                                ThresholdMode mode) {
-  if (mode == ThresholdMode::kAssumption) {
-    switch (kind) {
-      case ThresholdKind::kIsolation:
-        return isolation_guard(value);
-      case ThresholdKind::kUsability:
-        return usability_guard(value);
-      case ThresholdKind::kCost:
-        return cost_guard(value);
-    }
-  }
-  // kHard: identical linear constraints, asserted unguarded (permanent).
+smt::Lit Encoding::add_threshold(ThresholdKind kind, util::Fixed value) {
   switch (kind) {
     case ThresholdKind::kIsolation:
-      backend_.add_linear_ge(iso_terms_, value.raw() * iso_pairs_ - iso_const_);
-      break;
+      return isolation_guard(value);
     case ThresholdKind::kUsability:
-      backend_.add_linear_le(
-          usab_penalty_terms_,
-          usab_total_rank_raw_ * (model::kSliderMax.raw() - value.raw()) /
-              model::kSliderMax.raw());
-      break;
+      return usability_guard(value);
     case ThresholdKind::kCost:
-      backend_.add_linear_le(cost_terms_, value.raw());
-      break;
+      return cost_guard(value);
   }
-  ++stats_.linear_constraints;
-  return std::nullopt;
+  throw util::InternalError("unknown threshold kind");
 }
 
 SecurityDesign Encoding::decode() const {

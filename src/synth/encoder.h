@@ -30,7 +30,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -48,19 +47,6 @@ enum class ThresholdKind { kIsolation, kUsability, kCost };
 
 /// Short lowercase name ("isolation", "usability", "cost").
 std::string_view threshold_name(ThresholdKind kind);
-
-/// How threshold constraints enter the encoding.
-///
-///   * kAssumption — each distinct threshold value mints a selector
-///     literal `sel` and asserts `sel ⇒ (metric within threshold)`; the
-///     check assumes the selectors it wants. Thresholds become
-///     retractable, so one solver instance re-solves the whole slider
-///     grid (warm sweeps) and UNSAT cores over the selectors name the
-///     conflicting thresholds (Algorithm 1).
-///   * kHard — the constraint is asserted unguarded and is permanent:
-///     no selector variable, no retraction, no threshold unsat core.
-///     Only for single-shot solves where the three values never change.
-enum class ThresholdMode { kHard, kAssumption };
 
 struct EncodingStats {
   std::size_t flow_vars = 0;        // y
@@ -103,13 +89,14 @@ class Encoding {
   /// Adds guard ⇒ (deployment cost ≤ budget); returns the guard.
   smt::Lit cost_guard(util::Fixed budget);
 
-  /// Asserts the threshold constraint for `kind` at `value` per `mode`:
-  /// kAssumption mints and returns a fresh selector literal (the
-  /// ThresholdMode::kAssumption path above), kHard asserts the constraint
-  /// permanently and returns nullopt. The caller owns selector caching —
-  /// every call emits a new constraint.
-  std::optional<smt::Lit> add_threshold(ThresholdKind kind, util::Fixed value,
-                                        ThresholdMode mode);
+  /// Adds the threshold constraint for `kind` at `value` under a fresh
+  /// selector literal and returns it: `sel ⇒ (metric within threshold)`.
+  /// The check assumes the selectors it wants, so thresholds stay
+  /// retractable — one solver re-solves the whole slider grid (warm
+  /// sweeps), and UNSAT cores over the selectors name the conflicting
+  /// thresholds (Algorithm 1). The caller owns selector caching — every
+  /// call emits a new constraint.
+  smt::Lit add_threshold(ThresholdKind kind, util::Fixed value);
 
   /// Reads the backend model into a SecurityDesign (after kSat).
   SecurityDesign decode() const;

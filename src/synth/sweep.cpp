@@ -150,11 +150,7 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
       request.jobs == 0
           ? static_cast<int>(util::ThreadPool::hardware_jobs())
           : request.jobs;
-  // Warm reuse needs retractable thresholds; kHard requests fall back to
-  // the cold fresh-per-point path (see sweep.h).
-  const bool warm =
-      request.warm_start &&
-      request.synthesis.threshold_mode == ThresholdMode::kAssumption;
+  const bool warm = request.warm_start;
 
   SweepResult result;
   result.jobs = jobs;

@@ -19,7 +19,7 @@
 //
 // Warm start (`SweepRequest::warm_start`) — encode once per worker, not
 // once per point. The slider thresholds are assumption-guarded selector
-// constraints (encoder.h, ThresholdMode::kAssumption), so one solver can
+// constraints (Encoding::add_threshold), so one solver can
 // re-solve every grid point by swapping assumptions: learnt clauses,
 // variable activity and the PB encoding survive between points; only the
 // selectors change. The grid is split into contiguous chunks, one warm
@@ -30,9 +30,7 @@
 // properties of the formula, and bound searches converge on monotone
 // predicates regardless of probe order); only effort caps that actually
 // expire can differ, because a warm solver's learnt state changes where a
-// capped probe gives up. Requests whose threshold mode is kHard cannot
-// retract thresholds and silently fall back to the cold fresh-per-point
-// path.
+// capped probe gives up.
 //
 // Deadlines are cooperative: `SweepRequest::deadline_ms` caps the whole
 // sweep's wall clock by clamping each point's

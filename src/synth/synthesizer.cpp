@@ -81,7 +81,6 @@ void Synthesizer::rebuild(std::shared_ptr<const model::ProblemSpec> next,
   spec_ = spec_owner_.get();
   guard_cache_.clear();
   guard_kind_.clear();
-  hard_values_.clear();
   encode_seconds_ = watch.elapsed_seconds();
   if (options_.check_time_limit_ms > 0)
     backend_->set_time_limit_ms(options_.check_time_limit_ms);
@@ -100,17 +99,15 @@ DeltaApplyReport Synthesizer::apply_delta(const model::SpecDelta& delta) {
   const bool topo_clean = before.topology == after.topology;
   const bool flows_clean = before.flows == after.flows;
   const bool uics_clean = before.uics == after.uics;
-  const bool warm_capable =
-      options_.threshold_mode == ThresholdMode::kAssumption;
 
   DeltaApplyReport report;
-  if (topo_clean && flows_clean && uics_clean && warm_capable) {
+  if (topo_clean && flows_clean && uics_clean) {
     // Thresholds/budget-only: the formula is untouched; swap specs and
     // re-solve at the new query point on the live solver.
     adopt_spec(std::move(next));
     report.path = "warm";
     report.result = resolve(spec_->sliders);
-  } else if (topo_clean && flows_clean && warm_capable &&
+  } else if (topo_clean && flows_clean &&
              encoding_->retractable_sections()) {
     // Policy-only: retire the guarded UIC/RMC sections, re-emit them
     // from the post-delta spec, and re-solve warm. Equisatisfiable with
@@ -127,8 +124,7 @@ DeltaApplyReport Synthesizer::apply_delta(const model::SpecDelta& delta) {
     report.path = "replay";
     report.fallback_reason = !topo_clean || !flows_clean
                                  ? "flows-or-topology-dirty"
-                                 : (!warm_capable ? "hard-thresholds"
-                                                  : "non-retractable-sections");
+                                 : "non-retractable-sections";
     rebuild(std::move(next), /*reuse_routes=*/true);
     report.result = synthesize();
   } else {
@@ -162,12 +158,10 @@ smt::Lit Synthesizer::guard_for(ThresholdKind kind, util::Fixed value) {
                                          value.raw()};
   if (const auto it = guard_cache_.find(key); it != guard_cache_.end())
     return it->second;
-  const std::optional<smt::Lit> guard =
-      encoding_->add_threshold(kind, value, ThresholdMode::kAssumption);
-  CS_ENSURE(guard.has_value(), "assumption mode must return a selector");
-  guard_cache_.emplace(key, *guard);
-  guard_kind_.emplace(guard->var, kind);
-  return *guard;
+  const smt::Lit guard = encoding_->add_threshold(kind, value);
+  guard_cache_.emplace(key, guard);
+  guard_kind_.emplace(guard.var, kind);
+  return guard;
 }
 
 SynthesisResult Synthesizer::synthesize() {
@@ -180,9 +174,6 @@ SynthesisResult Synthesizer::synthesize(const model::Sliders& sliders) {
 }
 
 SynthesisResult Synthesizer::resolve(const model::Sliders& sliders) {
-  CS_REQUIRE(options_.threshold_mode == ThresholdMode::kAssumption,
-             "resolve() needs retractable thresholds "
-             "(ThresholdMode::kAssumption)");
   ++resolves_;
   obs::Span span("synth", "synth/resolve");
   SynthesisResult result = synthesize(sliders);
@@ -206,26 +197,11 @@ SynthesisResult Synthesizer::synthesize_partial(
   // Retractable policy sections are enabled by their guard on every
   // check (no-op when sections are hard).
   std::vector<smt::Lit> assumptions = encoding_->section_assumptions();
-  const auto enforce = [&](ThresholdKind kind, util::Fixed value) {
-    if (options_.threshold_mode == ThresholdMode::kAssumption) {
-      assumptions.push_back(guard_for(kind, value));
-      return;
-    }
-    // kHard: assert once, permanently; a second distinct value cannot be
-    // expressed against a hard constraint already in the store.
-    const auto [it, inserted] =
-        hard_values_.emplace(static_cast<int>(kind), value.raw());
-    if (inserted) {
-      encoding_->add_threshold(kind, value, ThresholdMode::kHard);
-      return;
-    }
-    CS_REQUIRE(it->second == value.raw(),
-               "ThresholdMode::kHard cannot re-solve with a different " +
-                   std::string(threshold_name(kind)) + " threshold");
-  };
-  if (isolation) enforce(ThresholdKind::kIsolation, *isolation);
-  if (usability) enforce(ThresholdKind::kUsability, *usability);
-  if (budget) enforce(ThresholdKind::kCost, *budget);
+  if (isolation)
+    assumptions.push_back(guard_for(ThresholdKind::kIsolation, *isolation));
+  if (usability)
+    assumptions.push_back(guard_for(ThresholdKind::kUsability, *usability));
+  if (budget) assumptions.push_back(guard_for(ThresholdKind::kCost, *budget));
 
   SynthesisResult result;
   result.encode_seconds = encode_seconds_;

@@ -34,13 +34,6 @@ struct SynthesisOptions {
   /// function of the formula — independent of machine load — so capped
   /// sweeps stay bit-for-bit reproducible across serial and parallel runs.
   std::int64_t check_conflict_limit = 0;
-  /// How the three slider thresholds enter the encoding (encoder.h).
-  /// kAssumption (default) keeps them retractable selector guards — the
-  /// incremental probing and unsat-core machinery require it. kHard
-  /// asserts them permanently: marginally smaller formulas for one-shot
-  /// solves, but each threshold kind accepts only a single value per
-  /// synthesizer and UNSAT results carry no threshold core.
-  ThresholdMode threshold_mode = ThresholdMode::kAssumption;
   /// Emit the UIC + RMC sections under a retractable guard (encoder.h),
   /// enabling apply_delta's "retract" tier for policy-only deltas. Off
   /// by default: guarded sections cost one extra literal per clause.
@@ -108,11 +101,11 @@ class Synthesizer {
       std::optional<util::Fixed> usability,
       std::optional<util::Fixed> budget);
 
-  /// Warm re-solve: swaps the threshold assumptions without re-encoding
-  /// (requires ThresholdMode::kAssumption). Identical verdict semantics to
-  /// synthesize(sliders); the returned encode_seconds is 0 because the
-  /// encoding is amortized over the synthesizer's lifetime — warm-started
-  /// sweeps use this to attribute encode cost to the first point only.
+  /// Warm re-solve: swaps the threshold assumptions without re-encoding.
+  /// Identical verdict semantics to synthesize(sliders); the returned
+  /// encode_seconds is 0 because the encoding is amortized over the
+  /// synthesizer's lifetime — warm-started sweeps use this to attribute
+  /// encode cost to the first point only.
   SynthesisResult resolve(const model::Sliders& sliders);
 
   /// Re-applies per-check caps on the backend, clamping the wall-clock cap
@@ -173,9 +166,6 @@ class Synthesizer {
 
   std::map<std::pair<int, std::int64_t>, smt::Lit> guard_cache_;
   std::unordered_map<smt::BoolVar, ThresholdKind> guard_kind_;
-  /// kHard mode: the single permanent value asserted per threshold kind
-  /// (raw Fixed units); a second distinct value is a usage error.
-  std::map<int, std::int64_t> hard_values_;
 };
 
 }  // namespace cs::synth

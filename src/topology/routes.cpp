@@ -195,21 +195,27 @@ RouteTable::RouteTable(const Network& net, RouteOptions opts)
     : net_(net), opts_(opts) {}
 
 const std::vector<Route>& RouteTable::routes(NodeId src, NodeId dst) {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 32) |
-      static_cast<std::uint32_t>(dst);
-  if (const auto it = cache_.find(key); it != cache_.end()) return it->second;
+  const auto key_of = [](NodeId a, NodeId b) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
+           static_cast<std::uint32_t>(b);
+  };
+  if (const auto it = cache_.find(key_of(src, dst)); it != cache_.end())
+    return it->second;
 
-  std::vector<Route> fwd = k_shortest_routes(net_, src, dst, opts_);
+  // Enumerate from the lower node id, whichever direction is asked first:
+  // the k-shortest search keeps a direction-dependent subset of
+  // equal-length routes, so the pair's route set must not depend on query
+  // order — the encoder, check_design and the shard stitcher each fill
+  // their own table in a different order.
+  const NodeId lo = std::min(src, dst);
+  const NodeId hi = std::max(src, dst);
+  std::vector<Route> fwd = k_shortest_routes(net_, lo, hi, opts_);
   std::vector<Route> rev;
   rev.reserve(fwd.size());
   for (const Route& r : fwd) rev.push_back(r.reversed());
-
-  const std::uint64_t rkey =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 32) |
-      static_cast<std::uint32_t>(src);
-  cache_.emplace(rkey, std::move(rev));
-  return cache_.emplace(key, std::move(fwd)).first->second;
+  cache_.emplace(key_of(hi, lo), std::move(rev));
+  cache_.emplace(key_of(lo, hi), std::move(fwd));
+  return cache_.at(key_of(src, dst));
 }
 
 void RouteTable::adopt_cache(const RouteTable& donor) {

@@ -60,9 +60,10 @@ std::vector<Route> k_shortest_routes(const Network& net, NodeId src,
 std::vector<Route> all_simple_routes(const Network& net, NodeId src,
                                      NodeId dst, const RouteOptions& opts);
 
-/// Caches routes per ordered host pair. The reverse direction of a pair is
-/// served by reversing the forward routes (valid for undirected links), so
-/// each unordered pair is enumerated once.
+/// Caches routes per ordered host pair. Each unordered pair is enumerated
+/// once, from its lower node id; the other direction is served by
+/// reversing those routes (valid for undirected links), so a pair's route
+/// set never depends on which direction was queried first.
 class RouteTable {
  public:
   RouteTable(const Network& net, RouteOptions opts);

@@ -413,6 +413,28 @@ TEST(DeltaSynthesis, FatTreeChurnMatchesCold) {
                   opts);
 }
 
+TEST(DeltaSynthesis, LinkRestoreDesignPassesAFreshChecker) {
+  // Restoring a failed link appends it to the network, which changes how
+  // the fat-tree's equal-length routes tie from each endpoint. The
+  // encoder fills its route table low id -> high id, while check_design
+  // fills a fresh one in flow direction; both must constrain the same
+  // routes, so the SAT design passes the independent checker.
+  const model::ProblemSpec start = bench::make_locality_spec(
+      topology::TopologyKind::kFatTree, 100, /*seed=*/1);
+  const model::ProblemSpec restored =
+      apply_delta(apply_delta(start, delta_of("fail-link,p8e1,p8a1")),
+                  delta_of("restore-link,p8e1,p8a1"));
+  synth::SynthesisOptions opts;
+  opts.backend = BackendKind::kMiniPb;
+  opts.check_conflict_limit = 20000;
+  synth::Synthesizer synth(restored, opts);
+  const synth::SynthesisResult result = synth.synthesize();
+  ASSERT_EQ(result.status, CheckResult::kSat);
+  const analysis::CheckReport report =
+      analysis::check_design(restored, *result.design);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+}
+
 // ---------------------------------------------------------------------
 // Concurrency (TSan target)
 // ---------------------------------------------------------------------

@@ -1,16 +1,14 @@
 // Fuzz driver for the MiniPB solver: random clause+PB instances with wide
 // coefficient ranges, solved under random assumptions and cross-checked
-// against brute force. Every instance runs *differentially*: four
-// watched-sum solvers cover the full 2×2 heuristic matrix — {Luby,
-// Glucose} restarts × {local, recursive} clause minimization, rephasing
-// on — and a fifth uses the reference counter propagator. All five must
-// agree on every verdict while keeping their per-constraint slack
-// bookkeeping exact (Solver::pb_bookkeeping_ok). Odd seeds generate
-// PB-heavy instances (more and longer constraints, bounds pushed toward
-// the coefficient total) so the watched-prefix machinery is exercised
-// hard. When built with CONFIGSYNTH_WITH_Z3, every 25th seed is
-// additionally cross-checked against the Z3 backend. Prints the first
-// failing seed and exits non-zero.
+// against brute force. Every verdict must match enumeration, every SAT
+// model must satisfy the instance, and the per-constraint watched sums
+// must stay exact (Solver::pb_bookkeeping_ok) after loading and after
+// every solve. Odd seeds generate PB-heavy instances (more and longer
+// constraints, bounds pushed toward the coefficient total) so the
+// watched-prefix machinery is exercised hard. When built with
+// CONFIGSYNTH_WITH_Z3, every 25th seed is additionally cross-checked
+// against the Z3 backend. Prints the first failing seed and exits
+// non-zero.
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -215,26 +213,6 @@ const char* verdict_name(Solver::Result r) {
   return "?";
 }
 
-/// The differential cohort: every heuristic configuration that must agree.
-struct Cohort {
-  // [0] is the repo default (Glucose + recursive); [4] is the counter
-  // reference propagator on the same default heuristics.
-  static constexpr int kSize = 5;
-  static constexpr const char* kTags[kSize] = {
-      "glucose+recursive", "luby+recursive", "glucose+local", "luby+local",
-      "counter-ref"};
-
-  Solver solvers[kSize];
-
-  Cohort() {
-    solvers[1].set_restart_mode(Solver::RestartMode::kLuby);
-    solvers[2].set_minimize_mode(Solver::MinimizeMode::kLocal);
-    solvers[3].set_restart_mode(Solver::RestartMode::kLuby);
-    solvers[3].set_minimize_mode(Solver::MinimizeMode::kLocal);
-    solvers[4].set_pb_mode(Solver::PbMode::kCounter);
-  }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -247,32 +225,14 @@ int main(int argc, char** argv) {
     const bool pb_heavy = (seed % 2) == 1;
     const Instance inst = gen(rng, pb_heavy);
 
-    // Differential cohort: the 2×2 heuristic matrix plus the counter
-    // reference. Every member loads the same instance and must agree at
-    // add time, on every verdict, and on bookkeeping exactness.
-    Cohort cohort;
-    bool consistent[Cohort::kSize];
-    bool diverged = false;
-    for (int i = 0; i < Cohort::kSize; ++i) {
-      consistent[i] = load(cohort.solvers[i], inst);
-      if (consistent[i] != consistent[0]) {
-        std::printf("seed %lld: add-time divergence %s=%d %s=%d\n", seed,
-                    Cohort::kTags[0], consistent[0], Cohort::kTags[i],
-                    consistent[i]);
-        ++failures;
-        diverged = true;
-        break;
-      }
-      if (!cohort.solvers[i].pb_bookkeeping_ok()) {
-        std::printf("seed %lld: %s slack bookkeeping broken after load\n",
-                    seed, Cohort::kTags[i]);
-        ++failures;
-        diverged = true;
-        break;
-      }
+    Solver solver;
+    const bool consistent = load(solver, inst);
+    if (!solver.pb_bookkeeping_ok()) {
+      std::printf("seed %lld: slack bookkeeping broken after load\n", seed);
+      ++failures;
+      continue;
     }
-    if (diverged) continue;
-    if (!consistent[0]) {
+    if (!consistent) {
       if (brute(inst, {})) {
         std::printf("seed %lld: store claims unsat, brute says sat\n", seed);
         ++failures;
@@ -282,35 +242,21 @@ int main(int argc, char** argv) {
 
     // Two sequential assumption solves, then a plain solve; every verdict
     // is checked against enumeration (this exercises clause learning
-    // across calls) and against every sibling configuration.
+    // across calls).
     for (int round = 0; round < 3; ++round) {
       const std::vector<Lit> assume =
           round < 2 ? gen_assumptions(rng, inst) : std::vector<Lit>{};
-      Solver::Result verdicts[Cohort::kSize];
-      bool bad = false;
-      for (int i = 0; i < Cohort::kSize; ++i) {
-        verdicts[i] = cohort.solvers[i].solve(assume);
-        if (verdicts[i] != verdicts[0]) {
-          std::printf("seed %lld round %d: %s=%s %s=%s\n", seed, round,
-                      Cohort::kTags[0], verdict_name(verdicts[0]),
-                      Cohort::kTags[i], verdict_name(verdicts[i]));
-          ++failures;
-          bad = true;
-          break;
-        }
-        if (!cohort.solvers[i].pb_bookkeeping_ok()) {
-          std::printf("seed %lld round %d: %s slack bookkeeping diverged\n",
-                      seed, round, Cohort::kTags[i]);
-          ++failures;
-          bad = true;
-          break;
-        }
+      const Solver::Result verdict = solver.solve(assume);
+      if (!solver.pb_bookkeeping_ok()) {
+        std::printf("seed %lld round %d: slack bookkeeping diverged\n", seed,
+                    round);
+        ++failures;
+        break;
       }
-      if (bad) break;
       const bool expect = brute(inst, assume);
-      if ((verdicts[0] == Solver::Result::kSat) != expect) {
+      if ((verdict == Solver::Result::kSat) != expect) {
         std::printf("seed %lld round %d: solver=%s brute=%s\n", seed, round,
-                    verdict_name(verdicts[0]), expect ? "sat" : "unsat");
+                    verdict_name(verdict), expect ? "sat" : "unsat");
         ++failures;
         break;
       }
@@ -322,18 +268,11 @@ int main(int argc, char** argv) {
         break;
       }
 #endif
-      if (verdicts[0] == Solver::Result::kSat) {
-        for (int i = 0; i < Cohort::kSize; ++i) {
-          if (!model_valid(cohort.solvers[i], inst)) {
-            std::printf("seed %lld round %d: %s invalid model\n", seed,
-                        round, Cohort::kTags[i]);
-            ++failures;
-            bad = true;
-            break;
-          }
-        }
+      if (verdict == Solver::Result::kSat && !model_valid(solver, inst)) {
+        std::printf("seed %lld round %d: invalid model\n", seed, round);
+        ++failures;
+        break;
       }
-      if (bad) break;
     }
     if (failures >= 5) break;
   }

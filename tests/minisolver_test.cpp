@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "minisolver/luby.h"
 #include "minisolver/pb_constraint.h"
 #include "minisolver/solver.h"
 #include "util/rng.h"
@@ -18,13 +17,6 @@ namespace cs::minisolver {
 namespace {
 
 using Result = Solver::Result;
-
-TEST(Luby, FirstElements) {
-  const std::vector<std::int64_t> expect{1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1,
-                                         1, 2, 4, 8};
-  for (std::size_t i = 0; i < expect.size(); ++i)
-    EXPECT_EQ(luby(static_cast<std::int64_t>(i) + 1), expect[i]) << i;
-}
 
 TEST(Literal, Packing) {
   const Lit p = Lit::pos(7);
@@ -537,31 +529,66 @@ TEST(Solver, LbdTierCountsCoverEveryLearntClause) {
   EXPECT_GT(st.lbd_core + st.lbd_tier2 + st.lbd_local, 0);
 }
 
-TEST(Solver, CounterModeMatchesWatchedSumVerdicts) {
-  // The reference counter propagator and the watched-sum default must
-  // agree across a mixed clause/PB instance, including after an
-  // interrupted solve; both keep exact slack bookkeeping.
-  const auto build = [](Solver& s) {
-    std::vector<PbTerm> terms;
-    for (int i = 0; i < 12; ++i)
-      terms.push_back(PbTerm{Lit::pos(s.new_var()), (i % 4) + 1});
-    s.add_linear_ge(terms, 18);
-    s.add_linear_le(terms, 24);
-    for (int i = 0; i + 2 < 12; i += 3)
-      s.add_clause({Lit::neg(i), Lit::neg(i + 1), Lit::neg(i + 2)});
-  };
-  Solver watched;
-  Solver counter;
-  counter.set_pb_mode(Solver::PbMode::kCounter);
-  EXPECT_EQ(watched.pb_mode(), Solver::PbMode::kWatchedSum);
-  build(watched);
-  build(counter);
+TEST(Solver, InterruptedSolveMatchesBruteForce) {
+  // A mixed clause/PB instance re-solved on one solver under several
+  // assumption sets, the first of them interrupted by a conflict cap. The
+  // interrupted solve must leave the watched sums exact, and every later
+  // verdict (and model) must agree with brute-force enumeration.
+  RandomInstance inst;
+  inst.vars = 12;
+  std::vector<PbTerm> terms;
+  for (int i = 0; i < 12; ++i)
+    terms.push_back(PbTerm{Lit::pos(i), (i % 4) + 1});
+  inst.pbs.emplace_back(terms, 18);  // Σ ≥ 18
+  for (PbTerm& t : terms) t.coeff = -t.coeff;
+  inst.pbs.emplace_back(terms, -24);  // Σ ≤ 24
+  for (int i = 0; i + 2 < 12; i += 3)
+    inst.clauses.push_back({Lit::neg(i), Lit::neg(i + 1), Lit::neg(i + 2)});
+
+  Solver s;
+  for (int v = 0; v < inst.vars; ++v) (void)s.new_var();
+  for (const auto& cl : inst.clauses) ASSERT_TRUE(s.add_clause(cl));
+  for (const auto& [t, bound] : inst.pbs)
+    ASSERT_TRUE(s.add_linear_ge(t, bound));
+  ASSERT_TRUE(s.pb_bookkeeping_ok());
+
+  // Dropping the three weight-4 variables of groups 1-3 leaves the Σ ≥ 18
+  // constraint zero slack: it forces every other variable true, which
+  // breaks a group clause. The first solve therefore meets a conflict,
+  // and a one-conflict cap must interrupt it.
+  const std::vector<Lit> tight = {Lit::neg(3), Lit::neg(7), Lit::neg(11)};
+  s.set_conflict_limit(1);
+  EXPECT_EQ(s.solve(tight), Result::kUnknown);
+  EXPECT_TRUE(s.pb_bookkeeping_ok());
+
+  s.set_conflict_limit(0);
   const std::vector<std::vector<Lit>> rounds = {
-      {}, {Lit::pos(0), Lit::pos(1)}, {Lit::neg(4), Lit::neg(7), Lit::neg(11)}};
+      tight,
+      {},
+      {Lit::pos(0), Lit::pos(1)},
+      {Lit::neg(4), Lit::neg(7), Lit::neg(11)}};
   for (const std::vector<Lit>& assume : rounds) {
-    EXPECT_EQ(watched.solve(assume), counter.solve(assume));
-    EXPECT_TRUE(watched.pb_bookkeeping_ok());
-    EXPECT_TRUE(counter.pb_bookkeeping_ok());
+    RandomInstance with_assumptions = inst;
+    for (const Lit a : assume) with_assumptions.clauses.push_back({a});
+    const Result r = s.solve(assume);
+    EXPECT_EQ(r == Result::kSat, brute_force_sat(with_assumptions));
+    EXPECT_NE(r, Result::kUnknown);
+    EXPECT_TRUE(s.pb_bookkeeping_ok());
+    if (r != Result::kSat) continue;
+    const auto lit_true = [&](Lit l) {
+      const bool v = s.model_value(l.var());
+      return l.is_neg() ? !v : v;
+    };
+    for (const auto& cl : with_assumptions.clauses) {
+      bool sat = false;
+      for (const Lit l : cl) sat = sat || lit_true(l);
+      EXPECT_TRUE(sat);
+    }
+    for (const auto& [t, bound] : inst.pbs) {
+      std::int64_t sum = 0;
+      for (const PbTerm& term : t) sum += lit_true(term.lit) ? term.coeff : 0;
+      EXPECT_GE(sum, bound);
+    }
   }
 }
 

@@ -446,21 +446,6 @@ TEST(SynthServiceMiniPb, WarmPoolEvictsFifoAtLimit) {
   EXPECT_EQ(service.metrics().counter_value("warm_evictions"), 1);
 }
 
-TEST(SynthServiceMiniPb, HardThresholdModeBypassesWarmPool) {
-  ServiceConfig config;
-  config.workers = 1;
-  SynthService service(config);
-  const auto spec = shared_example_spec();
-  ServiceRequest req = feasibility_request(
-      spec, BackendKind::kMiniPb, spec->sliders.isolation,
-      spec->sliders.usability, spec->sliders.budget);
-  req.synthesis.threshold_mode = synth::ThresholdMode::kHard;
-  const ServiceOutcome out = service.solve(req);
-  EXPECT_EQ(out.result.status, CheckResult::kSat);
-  EXPECT_FALSE(out.result.warm);
-  EXPECT_EQ(service.warm_pool_size(), 0u);
-}
-
 // ---- Admission control / deadlines / coalescing (MiniPB, TSan-covered) -----
 
 /// Gate that blocks the service's single worker inside on_start until

@@ -389,32 +389,6 @@ TEST_P(BackendSweepTest, WarmResolveReportsUnsatCore) {
   EXPECT_EQ(synth.resolves(), 1);
 }
 
-TEST(SweepEngineMiniPb, WarmStartWithHardModeFallsBackToCold) {
-  // kHard thresholds cannot be retracted, so a warm-start request in that
-  // mode must silently use the cold fresh-per-point path — same verdicts,
-  // zero warm re-solves.
-  const model::ProblemSpec spec = make_example_spec();
-  const std::vector<model::Sliders> grid = {
-      spec.sliders,
-      model::Sliders{util::Fixed::from_int(10), util::Fixed::from_int(10),
-                     util::Fixed::from_int(5)},
-  };
-  SweepRequest request = SweepRequest::feasibility_grid(grid);
-  request.synthesis.backend = BackendKind::kMiniPb;
-  request.synthesis.threshold_mode = ThresholdMode::kHard;
-  request.warm_start = true;
-  request.jobs = 2;
-  const SweepResult result = SweepEngine(spec).run(request);
-  ASSERT_EQ(result.points.size(), 2u);
-  EXPECT_EQ(result.warm_reuses, 0);
-  for (const SweepPointResult& p : result.points) EXPECT_FALSE(p.warm);
-  EXPECT_EQ(result.points[0].status, smt::CheckResult::kSat);
-  EXPECT_EQ(result.points[1].status, smt::CheckResult::kUnsat);
-  // kHard asserts thresholds unguarded, so UNSAT carries no threshold
-  // core — the price of the marginally smaller formula.
-  EXPECT_TRUE(result.points[1].conflicting.empty());
-}
-
 TEST(SweepEngineMiniPb, WarmSweepAccumulatesSolverStats) {
   const model::ProblemSpec spec = make_example_spec();
   std::vector<model::Sliders> grid;

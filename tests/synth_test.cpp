@@ -68,38 +68,6 @@ TEST_P(BackendSynthTest, ImpossibleSlidersAreUnsatWithCore) {
   }
 }
 
-TEST_P(BackendSynthTest, HardThresholdModeMatchesAssumptionVerdict) {
-  // kHard bakes the thresholds into the formula instead of guarding them
-  // with selector assumptions; both modes must agree on the verdict.
-  const model::ProblemSpec spec = make_example_spec();
-  SynthesisOptions hard = options();
-  hard.threshold_mode = ThresholdMode::kHard;
-  Synthesizer synth(spec, hard);
-  EXPECT_EQ(synth.synthesize().status, CheckResult::kSat);
-  // Re-solving the same triple is fine — the asserted values match.
-  EXPECT_EQ(synth.synthesize().status, CheckResult::kSat);
-  // A different value cannot be expressed against the asserted one.
-  model::Sliders shifted = spec.sliders;
-  shifted.isolation = shifted.isolation + util::Fixed::from_int(1);
-  EXPECT_THROW(synth.synthesize(shifted), util::Error);
-  // Warm re-solves require retractable thresholds.
-  EXPECT_THROW(synth.resolve(spec.sliders), util::Error);
-}
-
-TEST_P(BackendSynthTest, HardThresholdModeUnsatHasNoCore) {
-  model::ProblemSpec spec = make_example_spec();
-  spec.sliders.isolation = util::Fixed::from_int(10);
-  spec.sliders.usability = util::Fixed::from_int(10);
-  SynthesisOptions hard = options();
-  hard.threshold_mode = ThresholdMode::kHard;
-  Synthesizer synth(spec, hard);
-  const SynthesisResult result = synth.synthesize();
-  ASSERT_EQ(result.status, CheckResult::kUnsat);
-  // No selector guards exist, so no threshold core can be extracted —
-  // the documented trade-off of the hard mode.
-  EXPECT_TRUE(result.conflicting.empty());
-}
-
 TEST_P(BackendSynthTest, ResolveSwapsThresholdsWithoutReencoding) {
   const model::ProblemSpec spec = make_example_spec();
   Synthesizer synth(spec, options());

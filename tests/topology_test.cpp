@@ -196,6 +196,34 @@ TEST(RouteTable, CachesAndMirrors) {
   EXPECT_EQ(table.pairs_computed(), 1u);
 }
 
+TEST(RouteTable, PairRoutesIndependentOfQueryDirection) {
+  // Yen's search keeps a direction-dependent subset of the equal-length
+  // routes, and the encoder, check_design and the shard stitcher fill
+  // their own tables in different directions. Two fresh tables queried
+  // in opposite orders must still agree on every pair's routes.
+  const Network net = make_paper_example();
+  const std::vector<NodeId>& hosts = net.hosts();
+  RouteTable low_first(net, RouteOptions{});
+  RouteTable high_first(net, RouteOptions{});
+  for (std::size_t i = 0; i < hosts.size(); ++i) {
+    for (std::size_t j = i + 1; j < hosts.size(); ++j) {
+      (void)low_first.routes(hosts[i], hosts[j]);
+      (void)high_first.routes(hosts[j], hosts[i]);
+    }
+  }
+  for (const NodeId a : hosts) {
+    for (const NodeId b : hosts) {
+      if (a == b) continue;
+      const std::vector<Route>& ab = low_first.routes(a, b);
+      EXPECT_EQ(ab, high_first.routes(a, b)) << a << "->" << b;
+      const std::vector<Route>& ba = low_first.routes(b, a);
+      ASSERT_EQ(ab.size(), ba.size());
+      for (std::size_t r = 0; r < ab.size(); ++r)
+        EXPECT_EQ(ab[r].reversed(), ba[r]);
+    }
+  }
+}
+
 TEST(Generator, ProducesValidNetworks) {
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     util::Rng rng(seed);
