@@ -15,8 +15,8 @@
 // effort lines show what warm start saves in encode time and solver
 // conflicts. Cells whose search hit the effort cap are excluded from the
 // comparison: a capped probe's verdict depends on learnt state, which warm
-// reuse deliberately changes. `--jobs N` (or CS_BENCH_JOBS) solves the
-// points on N workers with output byte-identical to the serial run.
+// reuse deliberately changes. `--jobs N` solves the points on N workers
+// with output byte-identical to the serial run.
 #include "common/workloads.h"
 #include "synth/sweep.h"
 

@@ -6,8 +6,8 @@
 // plateau — extra money cannot buy isolation that the usability constraint
 // forbids.
 //
-// The grid runs on the sweep engine: `--jobs N` (or CS_BENCH_JOBS) solves
-// the points on N workers with output byte-identical to the serial run.
+// The grid runs on the sweep engine: `--jobs N` solves the points on N
+// workers with output byte-identical to the serial run.
 #include "common/workloads.h"
 #include "synth/sweep.h"
 

@@ -76,10 +76,6 @@ struct LoadOptions {
   int port = -1;  // >= 0: external server mode
 };
 
-std::string backend_label(smt::BackendKind kind) {
-  return kind == smt::BackendKind::kMiniPb ? "minipb" : "z3";
-}
-
 /// One (backend, dup%, mode) measurement.
 struct CellResult {
   std::string backend;
@@ -340,7 +336,7 @@ LoadOptions parse_flags(int argc, char** argv) {
   // An explicit --backend narrows the in-process matrix to that backend
   // (and labels the runs in external mode).
   if (backend_given)
-    opts.backends = {backend_label(opts.common.synthesis.backend)};
+    opts.backends = {smt::backend_name(opts.common.synthesis.backend)};
   return opts;
 }
 
@@ -359,7 +355,7 @@ int main(int argc, char** argv) {
     std::vector<CellResult> cells;
     if (opts.port >= 0) {
       const std::string label =
-          backend_label(opts.common.synthesis.backend);
+          smt::backend_name(opts.common.synthesis.backend);
       for (const int dup : opts.dups)
         cells.push_back(
             run_cell(opts, opts.port, label, spec_text, dup));

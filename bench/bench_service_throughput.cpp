@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       std::snprintf(rps, sizeof(rps), "%.1f",
                     static_cast<double>(total) / wall);
       rows.push_back(
-          {kind == smt::BackendKind::kZ3 ? "z3" : "minipb",
+          {smt::backend_name(kind),
            std::to_string(dup_pct) + "%", std::to_string(total),
            std::to_string(distinct), rps, rate,
            std::to_string(

@@ -1,6 +1,5 @@
 // Solver-core throughput benchmark: conflicts/sec and propagations/sec of
-// the MiniPB solver on the paper's workload families, cold and warm, plus
-// the MiniPB-vs-race pair that measures what `--backend race` buys.
+// the MiniPB solver on the paper's workload families, cold and warm.
 //
 // Four workload groups:
 //   * fig4a_h{8,10,12} — the hosts ladder swept end-to-end through the
@@ -18,12 +17,10 @@
 //     assumption rounds on a persistent solver. This is the workload
 //     where watched-sum PB propagation dominates.
 //   * fig3a_grid — the paper example's Fig. 3(a) max-isolation grid,
-//     cold, run once on MiniPB and once on the MiniPB/Z3 race backend
-//     with the same effort cap. The wall ratio of the two is what
-//     scripts/check_bench.py reports.
+//     cold, under a 100000-conflict cap.
 //
 // Unlike the figure benches this one takes no CS_BENCH_BACKEND — every
-// run pins its backend — and it emits a machine-readable artifact,
+// run is MiniPB — and it emits a machine-readable artifact,
 // BENCH_solver.json (schema cs-bench-solver-v3, one record per
 // (workload, backend, phase)), that scripts/check_bench.py validates and
 // compares against the committed baseline in bench/baselines/.
@@ -55,8 +52,7 @@ using minisolver::Var;
 
 struct RunRecord {
   std::string workload;
-  const char* backend = "minipb";  // "minipb" | "race"
-  const char* phase = "cold";      // "cold" | "warm"
+  const char* phase = "cold";  // "cold" | "warm"
   int points = 0;
   double wall_seconds = 0;
   std::int64_t conflicts = 0;
@@ -105,15 +101,14 @@ std::vector<Workload> make_workloads() {
   return out;
 }
 
-RunRecord measure_sweep(const std::string& workload, const char* backend,
-                        const char* phase, const synth::SweepEngine& engine,
+RunRecord measure_sweep(const std::string& workload, const char* phase,
+                        const synth::SweepEngine& engine,
                         synth::SweepRequest& request) {
   request.warm_start = std::string(phase) == "warm";
   util::Stopwatch watch;
   const synth::SweepResult result = engine.run(request);
   RunRecord rec;
   rec.workload = workload;
-  rec.backend = backend;
   rec.phase = phase;
   rec.points = static_cast<int>(result.points.size());
   rec.wall_seconds = watch.elapsed_seconds();
@@ -215,12 +210,13 @@ void write_json(const char* path, const std::vector<RunRecord>& runs) {
     const RunRecord& r = runs[i];
     std::fprintf(
         f,
-        "    {\"workload\": \"%s\", \"backend\": \"%s\", \"phase\": \"%s\", "
-        "\"points\": %d, \"wall_seconds\": %.6f, \"conflicts\": %lld, "
-        "\"propagations\": %lld, \"conflicts_per_sec\": %.1f, "
-        "\"propagations_per_sec\": %.1f, \"rephases\": %lld, "
+        "    {\"workload\": \"%s\", \"backend\": \"minipb\", "
+        "\"phase\": \"%s\", \"points\": %d, \"wall_seconds\": %.6f, "
+        "\"conflicts\": %lld, \"propagations\": %lld, "
+        "\"conflicts_per_sec\": %.1f, \"propagations_per_sec\": %.1f, "
+        "\"rephases\": %lld, "
         "\"minimized_literals\": %lld, \"peak_rss_bytes\": %lld}%s\n",
-        r.workload.c_str(), r.backend, r.phase, r.points, r.wall_seconds,
+        r.workload.c_str(), r.phase, r.points, r.wall_seconds,
         static_cast<long long>(r.conflicts),
         static_cast<long long>(r.propagations), r.per_sec(r.conflicts),
         r.per_sec(r.propagations), static_cast<long long>(r.rephases),
@@ -247,48 +243,37 @@ int main(int argc, char** argv) {
     request.jobs = bench::jobs(argc, argv);
     const synth::SweepEngine engine(w.spec);
     for (const char* phase : {"cold", "warm"})
-      runs.push_back(measure_sweep(w.name, "minipb", phase, engine, request));
+      runs.push_back(measure_sweep(w.name, phase, engine, request));
   }
   for (const char* phase : {"cold", "warm"})
     runs.push_back(measure_pb_core(phase));
 
-  // The MiniPB-vs-race pair: same grid, same effort cap (in each
-  // backend's own units), same worker count — only the backend changes.
   const model::ProblemSpec fig3a = bench::make_paper_example_spec();
   std::vector<util::Fixed> floors;
   for (int u = 0; u <= 10; u += 2) floors.push_back(util::Fixed::from_int(u));
   synth::SweepRequest request = synth::SweepRequest::max_isolation_grid(
       floors, {util::Fixed::from_int(10), util::Fixed::from_int(20)});
+  request.synthesis.backend = smt::BackendKind::kMiniPb;
   request.synthesis.check_conflict_limit = 100'000;
   request.jobs = bench::jobs(argc, argv);
-  const synth::SweepEngine engine(fig3a);
-  request.synthesis.backend = smt::BackendKind::kMiniPb;
-  const RunRecord mini =
-      measure_sweep("fig3a_grid", "minipb", "cold", engine, request);
-  request.synthesis.backend = smt::BackendKind::kRace;
-  const RunRecord race =
-      measure_sweep("fig3a_grid", "race", "cold", engine, request);
-  runs.push_back(mini);
-  runs.push_back(race);
+  runs.push_back(measure_sweep("fig3a_grid", "cold",
+                               synth::SweepEngine(fig3a), request));
 
   std::vector<std::vector<std::string>> rows;
   for (const RunRecord& r : runs) {
     char cps[32], pps[32];
     std::snprintf(cps, sizeof cps, "%.0f", r.per_sec(r.conflicts));
     std::snprintf(pps, sizeof pps, "%.0f", r.per_sec(r.propagations));
-    rows.push_back({r.workload, r.backend, r.phase, std::to_string(r.points),
+    rows.push_back({r.workload, r.phase, std::to_string(r.points),
                     bench::fmt_seconds(r.wall_seconds),
                     std::to_string(r.conflicts), cps, pps});
   }
   bench::emit("solver_core", "Solver core throughput (MiniPB)",
-              {"workload", "backend", "phase", "points", "wall(s)",
-               "conflicts", "conflicts/s", "props/s"},
+              {"workload", "phase", "points", "wall(s)", "conflicts",
+               "conflicts/s", "props/s"},
               rows);
 
   write_json("BENCH_solver.json", runs);
   std::printf("(JSON written to BENCH_solver.json)\n");
-  if (race.wall_seconds > 0)
-    std::printf("fig3a_grid cold minipb/race wall ratio: %.2fx\n",
-                mini.wall_seconds / race.wall_seconds);
   return 0;
 }

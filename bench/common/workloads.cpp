@@ -33,9 +33,7 @@ synth::SynthesisOptions options() {
 synth::SynthesisOptions sweep_options() {
   synth::SynthesisOptions opts;
   opts.backend = backend();
-  // Z3 caps are rlimit units; MiniPB caps are conflicts; the race cap is
-  // denominated in race units (MiniPB conflicts — the racer scales Z3's
-  // slices internally), so it shares the MiniPB sizing.
+  // Z3 caps are rlimit units; MiniPB caps are conflicts.
   const std::int64_t quick =
       opts.backend == smt::BackendKind::kZ3 ? 50'000'000 : 100'000;
   opts.check_conflict_limit = full_mode() ? 12 * quick : quick;
@@ -46,9 +44,6 @@ int jobs(int argc, char** argv) {
   for (int i = 1; i + 1 < argc; ++i)
     if (std::string_view(argv[i]) == "--jobs")
       return static_cast<int>(util::parse_int(argv[i + 1], "--jobs"));
-  const char* v = std::getenv("CS_BENCH_JOBS");
-  if (v != nullptr)
-    return static_cast<int>(util::parse_int(v, "CS_BENCH_JOBS"));
   return 1;
 }
 

@@ -28,9 +28,8 @@ namespace cs::bench {
 /// True when CS_BENCH_FULL=1 is set in the environment.
 bool full_mode();
 
-/// Backend selected by CS_BENCH_BACKEND (z3|minipb|race); defaults to
-/// Z3, the paper's solver. "race" runs the deterministic MiniPB/Z3
-/// portfolio (smt/race_backend.h).
+/// Backend selected by CS_BENCH_BACKEND (z3|minipb); defaults to Z3,
+/// the paper's solver.
 smt::BackendKind backend();
 
 /// Standard synthesis options for benches: the selected backend plus a
@@ -50,11 +49,11 @@ synth::SynthesisOptions options();
 synth::SynthesisOptions sweep_options();
 
 /// Sweep worker count for benches that run their grid on the sweep engine
-/// (synth/sweep.h): `--jobs N` on the command line, else CS_BENCH_JOBS,
-/// else 1 — benches default to serial so reported times stay comparable
-/// to the paper's single-threaded measurements. `--jobs 0` means one
-/// worker per hardware thread. Results are byte-identical across jobs
-/// values (fresh synthesizer per point).
+/// (synth/sweep.h): `--jobs N` on the command line, else 1 — benches
+/// default to serial so reported times stay comparable to the paper's
+/// single-threaded measurements. `--jobs 0` means one worker per hardware
+/// thread. Results are byte-identical across jobs values (fresh
+/// synthesizer per point).
 int jobs(int argc, char** argv);
 
 /// Builds an evaluation spec: generated topology + random workload.

@@ -17,11 +17,9 @@ cs-bench-solver-v3:
     plus numeric points, wall_seconds, conflicts, propagations,
     conflicts_per_sec, propagations_per_sec, rephases,
     minimized_literals, peak_rss_bytes;
-  * backend is minipb|race, phase is cold|warm, counts are non-negative,
+  * backend is minipb, phase is cold|warm, counts are non-negative,
     (workload, backend, phase) keys are unique;
-  * the stated rates agree with conflicts/wall and propagations/wall;
-  * when the artifact has the fig3a_grid pair (MiniPB vs the portfolio
-    racer), the MiniPB/race wall ratio is printed as an advisory.
+  * the stated rates agree with conflicts/wall and propagations/wall.
 
 cs-bench-load-v1:
   * "runs" is a non-empty array; every run carries backend/mode strings
@@ -161,7 +159,7 @@ def validate_solver(doc, path):
     for i, run in enumerate(check_runs(doc, path)):
         where = f"{path}: runs[{i}]"
         check_fields(run, where, SOLVER_STR, SOLVER_NUM)
-        if run["backend"] not in ("minipb", "race"):
+        if run["backend"] != "minipb":
             schema_fail(f"{where}: backend {run['backend']!r}")
         if run["phase"] not in ("cold", "warm"):
             schema_fail(f"{where}: phase {run['phase']!r}")
@@ -172,19 +170,6 @@ def validate_solver(doc, path):
         check_rate(run, where, "conflicts", "conflicts_per_sec")
         check_rate(run, where, "propagations", "propagations_per_sec")
     return keyed
-
-
-def solver_advisories(current):
-    """Prints the fig3a_grid pair: MiniPB vs race cold wall ratio.
-    Advisory only — wall clocks are machine-speed dependent."""
-    mini = current.get(("fig3a_grid", "minipb", "cold"))
-    race = current.get(("fig3a_grid", "race", "cold"))
-    if mini is None or race is None or race["wall_seconds"] <= 0:
-        return
-    ratio = mini["wall_seconds"] / race["wall_seconds"]
-    print(f"check_bench: advisory: fig3a_grid cold wall ratio "
-          f"(minipb {mini['wall_seconds']:.3f}s / race "
-          f"{race['wall_seconds']:.3f}s) = {ratio:.2f}x")
 
 
 def validate_load(doc, path):
@@ -288,7 +273,6 @@ SCHEMAS = {
         "rate_floors": (("conflicts", "conflicts_per_sec", MIN_CONFLICTS),
                         ("propagations", "propagations_per_sec",
                          MIN_PROPAGATIONS)),
-        "advisories": solver_advisories,
     },
     LOAD_SCHEMA: {
         "validate": validate_load,
@@ -351,8 +335,6 @@ def main():
 
     current = entry["validate"](doc, path)
     print(f"check_bench: {path}: {schema} schema OK ({len(current)} runs)")
-    if "advisories" in entry:
-        entry["advisories"](current)
     if baseline_path is None:
         return
 

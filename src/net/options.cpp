@@ -9,8 +9,7 @@ namespace cs::net {
 namespace {
 
 const char* const kHelp =
-    "  --backend z3|minipb|race  solver backend (default z3); race runs\n"
-    "                         a deterministic MiniPB/Z3 portfolio\n"
+    "  --backend z3|minipb    solver backend (default z3)\n"
     "  --jobs <N>             worker threads; 0 = one per hardware thread\n"
     "  --queue-limit <N>      max queued requests before rejection\n"
     "  --cache-capacity <N>   result-cache entries\n"

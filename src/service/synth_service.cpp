@@ -11,23 +11,6 @@
 
 namespace cs::service {
 
-namespace {
-
-/// Trace-span tag for a backend; also names its `probes_<tag>` counter.
-const char* backend_tag(smt::BackendKind kind) {
-  switch (kind) {
-    case smt::BackendKind::kZ3:
-      return "z3";
-    case smt::BackendKind::kMiniPb:
-      return "minipb";
-    case smt::BackendKind::kRace:
-      return "race";
-  }
-  return "unknown";
-}
-
-}  // namespace
-
 std::string_view reject_reason_name(RejectReason reason) {
   switch (reason) {
     case RejectReason::kNone:
@@ -45,7 +28,7 @@ std::string_view reject_reason_name(RejectReason reason) {
 void SynthService::record_solver_effort(const synth::SweepPointResult& r,
                                         smt::BackendKind backend) {
   metrics_.counter("solver_probes_total").add(r.search.probes);
-  metrics_.counter(std::string("probes_") + backend_tag(backend))
+  metrics_.counter(std::string("probes_") + smt::backend_name(backend))
       .add(r.search.probes);
   for (const smt::SolverStatField& f : smt::kSolverStatFields)
     metrics_.counter("solver_" + std::string(f.name) + "_total")
@@ -339,7 +322,7 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
   if (shard_requested) {
     obs::Span span("service", "service/shard_solve");
     span.arg("req", rid);
-    span.arg("backend", backend_tag(request.synthesis.backend));
+    span.arg("backend", smt::backend_name(request.synthesis.backend));
     util::Stopwatch shard_watch;
     // The sharded synthesizer reads the spec's own sliders; materialize
     // the point's thresholds into a spec copy when they differ.
@@ -379,7 +362,7 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
     }
     out.result.wall_seconds = shard_watch.elapsed_seconds();
     metrics_.counter(std::string("probes_") +
-                     backend_tag(request.synthesis.backend))
+                     smt::backend_name(request.synthesis.backend))
         .add(out.result.search.probes);
     metrics_.histogram("solve_ms").observe(out.result.wall_seconds * 1000.0);
     cache_.insert(out.fingerprint, out.result, &digests);
@@ -399,7 +382,7 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
   {
     obs::Span span("service", "service/solve");
     span.arg("req", rid);
-    span.arg("backend", backend_tag(request.synthesis.backend));
+    span.arg("backend", smt::backend_name(request.synthesis.backend));
     span.arg("warm", entry.synth != nullptr ? "1" : "0");
     if (entry.synth != nullptr) {
       metrics_.counter("warm_hits").inc();

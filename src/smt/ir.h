@@ -7,11 +7,9 @@
 // which is how the paper's threshold constraints become retractable
 // assumptions for unsat-core analysis (Algorithm 1).
 //
-// Three interchangeable backends implement the interface:
+// Two interchangeable backends implement the interface:
 //   * Z3Backend   — the paper's actual solver, via the native z3++ API.
 //   * MiniBackend — this repo's from-scratch CDCL PB solver.
-//   * RaceBackend — a deterministic portfolio racing the two above in
-//     effort-cap rounds (smt/race_backend.h).
 #pragma once
 
 #include <cstdint>
@@ -70,11 +68,6 @@ struct SolverStats {
   // literals removed by learned-clause minimization.
   std::int64_t rephases = 0;
   std::int64_t minimized_literals = 0;
-  // Portfolio racing (RaceBackend only): completed race rounds and which
-  // backend decided first, per race.
-  std::int64_t race_rounds = 0;
-  std::int64_t race_wins_minipb = 0;
-  std::int64_t race_wins_z3 = 0;
 
   SolverStats& operator+=(const SolverStats& o);
   /// Delta between two cumulative snapshots (this − o).
@@ -103,9 +96,6 @@ inline constexpr SolverStatField kSolverStatFields[] = {
     {"db_simplify_rounds", &SolverStats::db_simplify_rounds},
     {"rephases", &SolverStats::rephases},
     {"minimized_literals", &SolverStats::minimized_literals},
-    {"race_rounds", &SolverStats::race_rounds},
-    {"race_wins_minipb", &SolverStats::race_wins_minipb},
-    {"race_wins_z3", &SolverStats::race_wins_z3},
 };
 static_assert(sizeof(SolverStats) ==
                   std::size(kSolverStatFields) * sizeof(std::int64_t),
@@ -190,9 +180,6 @@ class Backend {
   /// checks; Z3 keeps counting across its internal post-timeout rebuilds).
   virtual SolverStats statistics() const = 0;
 
-  /// Backend identifier ("z3", "minipb", "race").
-  virtual std::string name() const = 0;
-
   // ---- convenience helpers built on the primitives ---------------------
 
   /// a ⇒ b.
@@ -210,15 +197,16 @@ class Backend {
   void add_unit(Lit l) { add_clause({l}); }
 };
 
-enum class BackendKind { kZ3, kMiniPb, kRace };
+enum class BackendKind { kZ3, kMiniPb };
 
-/// Creates a backend instance. kRace is the deterministic portfolio
-/// racer (smt/race_backend.h): MiniPB and Z3 race in effort-cap rounds
-/// with a fixed schedule and MiniPB-first tie-break, then the winner is
-/// anchored for the backend's remaining checks.
+/// Creates a backend instance.
 std::unique_ptr<Backend> make_backend(BackendKind kind);
 
-/// Parses "z3" / "minipb" / "race" (for CLI flags); throws SpecError
+/// The backend's one spelling: "z3" or "minipb". Used for CLI flags,
+/// trace-span tags, `probes_<name>` counters and bench labels.
+const char* backend_name(BackendKind kind);
+
+/// Parses a backend_name() spelling (for CLI flags); throws SpecError
 /// otherwise.
 BackendKind backend_from_name(const std::string& name);
 

@@ -40,7 +40,6 @@ class MiniBackend final : public Backend {
     return solver_.memory_estimate_bytes();
   }
   SolverStats statistics() const override;
-  std::string name() const override { return "minipb"; }
 
   /// Testing access to the underlying solver (debug hooks).
   minisolver::Solver& solver_for_testing() { return solver_; }

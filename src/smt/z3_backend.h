@@ -41,7 +41,6 @@ class Z3Backend final : public Backend {
   std::vector<Lit> unsat_core() const override;
   std::size_t memory_bytes() const override;
   SolverStats statistics() const override;
-  std::string name() const override { return "z3"; }
 
  private:
   z3::expr lit_expr(Lit l) const;

@@ -5,21 +5,17 @@
 // must stay exact (Solver::pb_bookkeeping_ok) after loading and after
 // every solve. Odd seeds generate PB-heavy instances (more and longer
 // constraints, bounds pushed toward the coefficient total) so the
-// watched-prefix machinery is exercised hard. When built with
-// CONFIGSYNTH_WITH_Z3, every 25th seed is additionally cross-checked
-// against the Z3 backend. Prints the first failing seed and exits
-// non-zero.
+// watched-prefix machinery is exercised hard. Every 25th seed is
+// additionally cross-checked against the Z3 backend. Prints the first
+// failing seed and exits non-zero.
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
 #include "minisolver/solver.h"
+#include "smt/ir.h"
 #include "util/rng.h"
 #include "util/strings.h"
-
-#ifdef CONFIGSYNTH_WITH_Z3
-#include "smt/ir.h"
-#endif
 
 using namespace cs;
 using minisolver::Lit;
@@ -179,7 +175,6 @@ bool model_valid(const Solver& s, const Instance& inst) {
   return true;
 }
 
-#ifdef CONFIGSYNTH_WITH_Z3
 /// Independent verdict from the Z3 backend (no limits: always decided).
 bool z3_sat(const Instance& inst, const std::vector<Lit>& assume) {
   auto backend = smt::make_backend(smt::BackendKind::kZ3);
@@ -202,7 +197,6 @@ bool z3_sat(const Instance& inst, const std::vector<Lit>& assume) {
   for (const Lit a : assume) smt_assume.push_back(to_smt(a));
   return backend->check(smt_assume) == smt::CheckResult::kSat;
 }
-#endif
 
 const char* verdict_name(Solver::Result r) {
   switch (r) {
@@ -260,14 +254,12 @@ int main(int argc, char** argv) {
         ++failures;
         break;
       }
-#ifdef CONFIGSYNTH_WITH_Z3
       if (seed % 25 == 0 && z3_sat(inst, assume) != expect) {
         std::printf("seed %lld round %d: z3 disagrees with brute\n", seed,
                     round);
         ++failures;
         break;
       }
-#endif
       if (verdict == Solver::Result::kSat && !model_valid(solver, inst)) {
         std::printf("seed %lld round %d: invalid model\n", seed, round);
         ++failures;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "smt/ir.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace cs::smt {
@@ -18,7 +19,14 @@ class BackendTest : public ::testing::TestWithParam<BackendKind> {
   std::unique_ptr<Backend> backend_ = make_backend(GetParam());
 };
 
-TEST_P(BackendTest, NameNonEmpty) { EXPECT_FALSE(backend_->name().empty()); }
+TEST_P(BackendTest, NameRoundTrips) {
+  EXPECT_EQ(backend_from_name(backend_name(GetParam())), GetParam());
+}
+
+TEST(BackendName, RejectsUnknownSpellings) {
+  for (const char* name : {"race", "mini"})
+    EXPECT_THROW(backend_from_name(name), util::SpecError) << name;
+}
 
 TEST_P(BackendTest, ClauseBasics) {
   Backend& b = *backend_;

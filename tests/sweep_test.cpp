@@ -172,6 +172,46 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendSweepTest,
                                                                  : "minipb";
                          });
 
+TEST(SweepEngine, MiniPbAndZ3AgreeOnExactBounds) {
+  // The two backends must agree on feasibility *and* on the exact
+  // max-isolation bound of every grid cell both decide. A cell is
+  // compared only when both runs converged exactly: near-threshold
+  // boundary probes are genuinely exponential (paper Fig. 5a), so grids
+  // with a nonzero floor always carry cells a backend leaves undecided
+  // at test-sized caps, and a capped bound depends on learnt state.
+  // Every spec must contribute at least one compared cell, so the test
+  // cannot silently skip everything.
+  const model::ProblemSpec paper = make_example_spec();
+  const model::ProblemSpec random_a = make_random_spec(31, 6, 5);
+  const model::ProblemSpec random_b = make_random_spec(32, 7, 6);
+  for (const model::ProblemSpec* spec : {&paper, &random_a, &random_b}) {
+    SweepRequest request = SweepRequest::max_isolation_grid(
+        {util::Fixed::from_int(0), util::Fixed::from_int(3)},
+        {util::Fixed::from_int(60)});
+    request.optimize.resolution = util::Fixed::from_raw(500);
+    // Decidedness needs headroom over effort_cap(): 10x in MiniPB
+    // conflicts, 15x in Z3 resource units.
+    request.synthesis.backend = BackendKind::kMiniPb;
+    request.synthesis.check_conflict_limit = 200'000;
+    const SweepResult mini = SweepEngine(*spec).run(request);
+    request.synthesis.backend = BackendKind::kZ3;
+    request.synthesis.check_conflict_limit = 30'000'000;
+    const SweepResult z3 = SweepEngine(*spec).run(request);
+    ASSERT_EQ(mini.points.size(), z3.points.size());
+    int compared = 0;
+    for (std::size_t p = 0; p < mini.points.size(); ++p) {
+      if (!mini.points[p].search.exact || !z3.points[p].search.exact)
+        continue;
+      ++compared;
+      EXPECT_EQ(mini.points[p].search.feasible, z3.points[p].search.feasible)
+          << "point " << p;
+      EXPECT_EQ(mini.points[p].search.bound, z3.points[p].search.bound)
+          << "point " << p;
+    }
+    EXPECT_GE(compared, 1) << "no cell decided by both backends";
+  }
+}
+
 // ---- SweepEngine semantics (MiniPB-backed, TSan-covered) -------------------
 
 TEST(SweepEngineMiniPb, FeasibilityGridMatchesDirectSolve) {
