@@ -14,7 +14,7 @@ int main() {
       bench::full_mode() ? std::vector<int>{8, 12, 16, 20, 24}
                          : std::vector<int>{6, 10, 14};
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const int hosts : host_counts) {
     const int routers = std::clamp(8 + hosts / 5, 8, 20);
     const model::ProblemSpec spec = bench::make_eval_spec(
@@ -24,8 +24,7 @@ int main() {
                                  util::Fixed::from_int(10 * hosts)};
 
     std::string verdicts;
-    std::vector<std::string> row{std::to_string(hosts),
-                                 std::to_string(spec.flows.size())};
+    bench::Row row{std::to_string(hosts), std::to_string(spec.flows.size())};
     for (const smt::BackendKind kind :
          {smt::BackendKind::kZ3, smt::BackendKind::kMiniPb}) {
       util::Stopwatch watch;

@@ -12,7 +12,7 @@
 int main() {
   using namespace cs;
   const int nets = bench::full_mode() ? 8 : 4;
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (int n = 0; n < nets; ++n) {
     const int hosts = 6 + 2 * n;
     const int routers = std::clamp(6 + hosts / 4, 6, 14);

@@ -34,7 +34,7 @@ int main() {
   const int routers = 10;
   const int budget_cap = 40 * hosts;
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const double iso : {1.0, 1.5, 2.0, 3.0, 4.0}) {
     model::ProblemSpec plain =
         bench::make_eval_spec(hosts, routers, 0.10, 11000);

@@ -13,7 +13,7 @@ int main() {
   using namespace cs;
   const int hosts = bench::full_mode() ? 16 : 10;
   const int routers = 12;
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                               std::size_t{8}}) {
     model::ProblemSpec spec =

@@ -45,17 +45,16 @@ int main(int argc, char** argv) {
 
   // Floor-major, budget-minor grid order: one row per floor.
   const auto render = [&](const synth::SweepResult& sweep) {
-    std::vector<std::vector<std::string>> rows;
+    std::vector<bench::Row> rows;
     for (std::size_t i = 0; i < sweep.points.size(); i += budgets.size()) {
-      std::vector<std::string> row{
-          sweep.points[i].point.usability.to_string()};
+      bench::Row row{sweep.points[i].point.usability.to_string()};
       for (std::size_t b = 0; b < budgets.size(); ++b)
         row.push_back(bench::fmt_isolation_cell(sweep.points[i + b]));
       rows.push_back(std::move(row));
     }
     return rows;
   };
-  const std::vector<std::vector<std::string>> rows = render(cold);
+  const std::vector<bench::Row> rows = render(cold);
   bench::emit("fig3a_isolation_vs_usability",
               "Fig 3(a): max isolation vs usability constraint",
               {"usability", "isolation@$10K", "isolation@$20K"}, rows);
@@ -63,13 +62,13 @@ int main(int argc, char** argv) {
   bench::print_sweep_effort("warm", warm);
 
   // Warm/cold agreement, decided cells only (see the header comment).
-  const std::vector<std::vector<std::string>> warm_rows = render(warm);
+  const std::vector<bench::Row> warm_rows = render(warm);
   int decided = 0, capped = 0, diverged = 0;
   for (std::size_t i = 0; i < cold.points.size(); ++i) {
     const std::size_t r = i / budgets.size(), c = 1 + i % budgets.size();
     if (!cold.points[i].search.exact || !warm.points[i].search.exact) {
       ++capped;
-    } else if (warm_rows[r][c] != rows[r][c]) {
+    } else if (warm_rows[r][c].text != rows[r][c].text) {
       ++diverged;
     } else {
       ++decided;

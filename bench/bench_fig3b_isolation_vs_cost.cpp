@@ -34,11 +34,10 @@ int main(int argc, char** argv) {
   }
   const synth::SweepResult sweep = synth::SweepEngine(spec).run(request);
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (std::size_t i = 0; i < sweep.points.size();
        i += usabilities.size()) {
-    std::vector<std::string> row{
-        sweep.points[i].point.budget.to_string()};
+    bench::Row row{sweep.points[i].point.budget.to_string()};
     for (std::size_t u = 0; u < usabilities.size(); ++u) {
       const synth::BoundSearchResult& best = sweep.points[i + u].search;
       row.push_back(best.feasible ? best.metrics.isolation.to_string() +

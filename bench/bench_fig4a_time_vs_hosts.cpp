@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
                          : std::vector<int>{6, 10, 14, 18};
   const double cr_volumes[] = {0.10, 0.20};
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const int hosts : host_counts) {
     const int routers = std::clamp(8 + hosts / 5, 8, 20);
-    std::vector<std::string> row{std::to_string(hosts)};
+    bench::Row row{std::to_string(hosts)};
     for (const double cr : cr_volumes) {
       const model::ProblemSpec spec = bench::make_eval_spec(
           kind, hosts, routers, cr, 1000 + static_cast<std::uint64_t>(hosts));

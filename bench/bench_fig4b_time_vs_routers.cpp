@@ -14,9 +14,9 @@ int main() {
                          : std::vector<int>{8, 12, 16, 20};
   const double cr_volumes[] = {0.10, 0.20};
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const int routers : router_counts) {
-    std::vector<std::string> row{std::to_string(routers)};
+    bench::Row row{std::to_string(routers)};
     {
       // Model size grows with the core even when a modern solver's time
       // does not: report the clause count alongside (see EXPERIMENTS.md).

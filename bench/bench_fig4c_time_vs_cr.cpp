@@ -17,9 +17,9 @@ int main() {
                                                               25, 30}
                                            : std::vector<int>{5, 15, 25};
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const int cr : cr_percents) {
-    std::vector<std::string> row{std::to_string(cr) + "%"};
+    bench::Row row{std::to_string(cr) + "%"};
     for (const int hosts : host_counts) {
       const int routers = std::clamp(8 + hosts / 5, 8, 20);
       // Isolation 5 pushes towards deny-heavy designs, which the CRs veto

@@ -46,11 +46,10 @@ int main(int argc, char** argv) {
   request.warm_start = true;
   const synth::SweepResult warm = engine.run(request);
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (std::size_t i = 0; i < sweep.points.size();
        i += usabilities.size()) {
-    std::vector<std::string> row{
-        sweep.points[i].point.isolation.to_string()};
+    bench::Row row{sweep.points[i].point.isolation.to_string()};
     for (std::size_t u = 0; u < usabilities.size(); ++u)
       row.push_back(bench::fmt_time_cell(sweep.points[i + u]));
     rows.push_back(std::move(row));

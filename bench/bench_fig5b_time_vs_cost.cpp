@@ -36,11 +36,10 @@ int main(int argc, char** argv) {
   request.jobs = bench::jobs(argc, argv);
   const synth::SweepResult sweep = synth::SweepEngine(spec).run(request);
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (std::size_t i = 0; i < sweep.points.size();
        i += usabilities.size()) {
-    std::vector<std::string> row{
-        sweep.points[i].point.budget.to_string()};
+    bench::Row row{sweep.points[i].point.budget.to_string()};
     for (std::size_t u = 0; u < usabilities.size(); ++u) {
       const synth::SweepPointResult& p = sweep.points[i + u];
       row.push_back(bench::fmt_seconds(p.wall_seconds) +

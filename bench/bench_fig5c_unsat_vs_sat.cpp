@@ -17,7 +17,7 @@ int main() {
       bench::full_mode() ? std::vector<int>{10, 20, 30, 40}
                          : std::vector<int>{6, 10, 14};
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const int hosts : host_counts) {
     const int routers = std::clamp(8 + hosts / 5, 8, 20);
     const model::ProblemSpec spec = bench::make_eval_spec(

@@ -9,13 +9,13 @@
 // shard::ShardedSynthesizer solve (partition → per-region solves →
 // stitch). A monolithic point whose check hits the bench effort cap is
 // reported as "capped" — at the largest sizes that is the expected
-// outcome, and it is exactly the regime the sharded column is for.
+// outcome, and it is exactly the regime the sharded runs are for.
 //
 // Flags:
 //   --topology <name>        mesh|fat-tree|campus|isp (default fat-tree)
 //   --hosts <n1,n2,...>      host counts (default 100,300,1000;
 //                            CS_BENCH_FULL=1 appends 2000)
-//   --mode both|mono|sharded which columns to run (default both)
+//   --mode both|mono|sharded which modes to run (default both)
 //   --jobs <N>               sharded region-solve workers (default 1;
 //                            0 = one per hardware thread — results are
 //                            byte-identical at any value)
@@ -38,20 +38,6 @@ namespace {
 
 using namespace cs;
 
-struct ScaleRun {
-  std::string topology;
-  std::string mode;    // "mono" | "sharded"
-  std::string status;  // "sat" | "unsat" | "capped"
-  int hosts = 0;
-  int routers = 0;
-  int flows = 0;
-  int regions = 0;    // 0 on the monolithic side
-  int cut_links = 0;  // 0 on the monolithic side
-  int fallback = 0;   // 1 when the sharded solve fell back to monolithic
-  double wall_seconds = 0;
-  double hosts_per_sec = 0;
-};
-
 const char* status_name(smt::CheckResult status) {
   switch (status) {
     case smt::CheckResult::kSat:
@@ -62,31 +48,6 @@ const char* status_name(smt::CheckResult status) {
       return "capped";
   }
   return "capped";
-}
-
-void write_json(const std::string& path, const std::vector<ScaleRun>& runs) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"cs-bench-scale-v1\",\n  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const ScaleRun& r = runs[i];
-    std::fprintf(
-        f,
-        "    {\"topology\": \"%s\", \"hosts\": %d, \"mode\": \"%s\", "
-        "\"status\": \"%s\",\n"
-        "     \"routers\": %d, \"flows\": %d, \"regions\": %d, "
-        "\"cut_links\": %d, \"fallback\": %d,\n"
-        "     \"wall_seconds\": %.6f, \"hosts_per_sec\": %.3f}%s\n",
-        r.topology.c_str(), r.hosts, r.mode.c_str(), r.status.c_str(),
-        r.routers, r.flows, r.regions, r.cut_links, r.fallback,
-        r.wall_seconds, r.hosts_per_sec, i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -133,70 +94,55 @@ int main(int argc, char** argv) {
     const synth::SynthesisOptions options = bench::sweep_options();
     const int jobs = bench::jobs(argc, argv);
     const std::string topo(topology::topology_kind_name(kind));
-    std::vector<ScaleRun> runs;
-    std::vector<std::vector<std::string>> rows;
-    for (const int hosts : host_counts) {
+    std::vector<bench::Row> runs;
+    for (const int host_count : host_counts) {
       const model::ProblemSpec spec = bench::make_locality_spec(
-          kind, hosts, 6000 + static_cast<std::uint64_t>(hosts));
-      ScaleRun base;
-      base.topology = topo;
-      base.hosts = static_cast<int>(spec.network.host_count());
-      base.routers = static_cast<int>(spec.network.router_count());
-      base.flows = static_cast<int>(spec.flows.size());
-      std::vector<std::string> row{std::to_string(base.hosts)};
+          kind, host_count, 6000 + static_cast<std::uint64_t>(host_count));
+      const int hosts = static_cast<int>(spec.network.host_count());
+      // regions and cut_links are 0 on the monolithic side; fallback is 1
+      // when the sharded solve fell back to the monolithic one.
+      const auto run = [&](const char* mode, smt::CheckResult status,
+                           int regions, int cut_links, bool fallback,
+                           double wall) -> bench::Row {
+        return {topo, hosts, mode, status_name(status),
+                static_cast<int>(spec.network.router_count()),
+                static_cast<int>(spec.flows.size()), regions, cut_links,
+                fallback ? 1 : 0, bench::number(wall, 6),
+                bench::number(wall > 0 ? hosts / wall : 0, 3)};
+      };
 
       if (run_mono) {
-        ScaleRun mono = base;
-        mono.mode = "mono";
         util::Stopwatch watch;
         synth::Synthesizer synthesizer(spec, options);
         const synth::SynthesisResult result = synthesizer.synthesize();
-        mono.wall_seconds = watch.elapsed_seconds();
-        mono.status = status_name(result.status);
+        const double wall = watch.elapsed_seconds();
         if (result.design.has_value()) {
           const synth::DesignMetrics m =
               synth::compute_metrics(spec, *result.design);
           std::fprintf(stderr, "mono %d hosts: cost %s iso %s usab %s\n",
-                       base.hosts, m.cost.to_string().c_str(),
+                       hosts, m.cost.to_string().c_str(),
                        m.isolation.to_string().c_str(),
                        m.usability.to_string().c_str());
         }
-        mono.hosts_per_sec =
-            mono.wall_seconds > 0 ? base.hosts / mono.wall_seconds : 0;
-        row.push_back(bench::fmt_seconds(mono.wall_seconds) +
-                      (mono.status == "sat" ? "" : " (" + mono.status + ")"));
-        runs.push_back(std::move(mono));
-      } else {
-        row.push_back("-");
+        runs.push_back(run("mono", result.status, 0, 0, false, wall));
       }
 
       if (run_sharded) {
-        ScaleRun sharded = base;
-        sharded.mode = "sharded";
         shard::ShardOptions shard_options;
         shard_options.synthesis = options;
         shard_options.jobs = jobs;
         const shard::ShardedOutcome outcome =
             shard::ShardedSynthesizer(spec, shard_options).synthesize();
-        sharded.wall_seconds = outcome.wall_seconds;
-        sharded.status = status_name(outcome.status);
-        sharded.regions = outcome.regions;
-        sharded.cut_links = outcome.cut_links;
-        sharded.fallback = outcome.used_fallback ? 1 : 0;
-        sharded.hosts_per_sec =
-            sharded.wall_seconds > 0 ? base.hosts / sharded.wall_seconds : 0;
-        row.push_back(
-            bench::fmt_seconds(sharded.wall_seconds) +
-            (sharded.status == "sat" ? "" : " (" + sharded.status + ")") +
-            (outcome.used_fallback ? " (fallback: " + outcome.fallback_reason + ")"
-                                   : ""));
         std::fprintf(stderr,
                      "sharded %d hosts: plan %.3fs regions %.3fs stitch "
                      "%.3fs fallback %.3fs escalated %d repairs %d\n",
-                     base.hosts, outcome.plan_seconds,
+                     hosts, outcome.plan_seconds,
                      outcome.region_wall_seconds, outcome.stitch_seconds,
                      outcome.fallback_seconds, outcome.escalated_flows,
                      outcome.repair_placements);
+        if (outcome.used_fallback)
+          std::fprintf(stderr, "  fallback: %s\n",
+                       outcome.fallback_reason.c_str());
         if (!outcome.stitch_failure.empty())
           std::fprintf(stderr, "  stitch failure: %s\n",
                        outcome.stitch_failure.c_str());
@@ -204,23 +150,19 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "  region %d: %zu hosts %zu flows %s %.3fs\n",
                        r.index, r.hosts, r.flows, status_name(r.status),
                        r.wall_seconds);
-        row.push_back(std::to_string(sharded.regions));
-        row.push_back(std::to_string(sharded.cut_links));
-        runs.push_back(std::move(sharded));
-      } else {
-        row.push_back("-");
-        row.push_back("-");
-        row.push_back("-");
+        runs.push_back(run("sharded", outcome.status, outcome.regions,
+                           outcome.cut_links, outcome.used_fallback,
+                           outcome.wall_seconds));
       }
-      rows.push_back(std::move(row));
     }
 
     bench::emit("fig6_scale",
                 std::string("Fig 6: synthesis time vs hosts at scale (") +
                     topo + ", mono vs sharded)",
-                {"hosts", "mono(s)", "sharded(s)", "regions", "cut links"},
-                rows);
-    write_json(out_path, runs);
+                {"topology", "hosts", "mode", "status", "routers", "flows",
+                 "regions", "cut_links", "fallback", "wall_seconds",
+                 "hosts_per_sec"},
+                runs, "cs-bench-scale-v1", out_path);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -66,23 +66,6 @@ struct StepRecord {
   bool design_matched = false;
 };
 
-/// One aggregated artifact row: a (topology, hosts, op_class) cell.
-struct ChurnRun {
-  std::string topology;
-  int hosts = 0;
-  std::string op_class;  // per-class rows plus an "all" aggregate
-  int steps = 0;
-  double inc_median_seconds = 0;
-  double cold_median_seconds = 0;
-  double speedup_median = 0;
-  int capped = 0;  // steps where either side hit its effort cap
-  int verdict_mismatches = 0;
-  int invalid_designs = 0;
-  int design_comparisons = 0;
-  int design_matches = 0;
-  int warm = 0, retract = 0, replay = 0, full = 0;
-};
-
 double median(std::vector<double> v) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
@@ -345,73 +328,41 @@ std::vector<StepRecord> run_stream(topology::TopologyKind kind, int hosts,
   return records;
 }
 
-std::vector<ChurnRun> aggregate(const std::string& topo, int hosts,
-                                const std::vector<StepRecord>& records) {
-  // Per-class cells first (stable order), then the "all" aggregate.
-  std::vector<std::string> classes{"retune", "uic", "flow", "link", "host",
-                                   "all"};
-  std::vector<ChurnRun> runs;
-  for (const std::string& cls : classes) {
-    ChurnRun run;
-    run.topology = topo;
-    run.hosts = hosts;
-    run.op_class = cls;
+/// The artifact runs of one stream: one (topology, hosts, op_class) cell
+/// per class the mix drew, in a stable order, then an "all" aggregate.
+std::vector<bench::Row> aggregate(const std::string& topo, int hosts,
+                                  const std::vector<StepRecord>& records) {
+  std::vector<bench::Row> runs;
+  for (const std::string cls :
+       {"retune", "uic", "flow", "link", "host", "all"}) {
+    int steps = 0, capped = 0, mismatches = 0, invalid = 0;
+    int comparisons = 0, matches = 0;
+    std::map<std::string, int> tiers;
     std::vector<double> inc, cold;
     for (const StepRecord& r : records) {
       if (cls != "all" && r.op_class != cls) continue;
-      ++run.steps;
+      ++steps;
       inc.push_back(r.inc_seconds);
       cold.push_back(r.cold_seconds);
-      run.capped += r.capped ? 1 : 0;
-      run.verdict_mismatches += r.verdict_mismatch ? 1 : 0;
-      run.invalid_designs += r.invalid_design ? 1 : 0;
-      run.design_comparisons += r.design_compared ? 1 : 0;
-      run.design_matches += r.design_matched ? 1 : 0;
-      if (r.path == "warm") ++run.warm;
-      if (r.path == "retract") ++run.retract;
-      if (r.path == "replay") ++run.replay;
-      if (r.path == "full") ++run.full;
+      capped += r.capped;
+      mismatches += r.verdict_mismatch;
+      invalid += r.invalid_design;
+      comparisons += r.design_compared;
+      matches += r.design_matched;
+      ++tiers[r.path];
     }
-    if (run.steps == 0) continue;  // mix didn't draw this class
-    run.inc_median_seconds = median(inc);
-    run.cold_median_seconds = median(cold);
-    run.speedup_median = run.inc_median_seconds > 0
-                             ? run.cold_median_seconds /
-                                   run.inc_median_seconds
-                             : 0;
-    runs.push_back(std::move(run));
+    if (steps == 0) continue;  // mix didn't draw this class
+    const double inc_median = median(inc);
+    const double cold_median = median(cold);
+    runs.push_back({topo, hosts, cls, steps, bench::number(inc_median, 6),
+                    bench::number(cold_median, 6),
+                    bench::number(
+                        inc_median > 0 ? cold_median / inc_median : 0, 3),
+                    capped, mismatches, invalid, comparisons, matches,
+                    tiers["warm"], tiers["retract"], tiers["replay"],
+                    tiers["full"]});
   }
   return runs;
-}
-
-void write_json(const std::string& path, const std::vector<ChurnRun>& runs) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"cs-bench-churn-v1\",\n  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const ChurnRun& r = runs[i];
-    std::fprintf(
-        f,
-        "    {\"topology\": \"%s\", \"hosts\": %d, \"op_class\": \"%s\", "
-        "\"steps\": %d,\n"
-        "     \"inc_median_seconds\": %.6f, \"cold_median_seconds\": %.6f, "
-        "\"speedup_median\": %.3f, \"capped\": %d,\n"
-        "     \"verdict_mismatches\": %d, \"invalid_designs\": %d, "
-        "\"design_comparisons\": %d, \"design_matches\": %d,\n"
-        "     \"warm\": %d, \"retract\": %d, \"replay\": %d, \"full\": "
-        "%d}%s\n",
-        r.topology.c_str(), r.hosts, r.op_class.c_str(), r.steps,
-        r.inc_median_seconds, r.cold_median_seconds, r.speedup_median,
-        r.capped, r.verdict_mismatches, r.invalid_designs,
-        r.design_comparisons, r.design_matches, r.warm, r.retract, r.replay,
-        r.full, i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
 }
 
 }  // namespace
@@ -474,40 +425,30 @@ int main(int argc, char** argv) {
       for (auto& f : futs) f.get();
     }
 
-    std::vector<ChurnRun> runs;
-    std::vector<std::vector<std::string>> rows;
-    int mismatches = 0;
+    std::vector<bench::Row> runs;
+    int failures = 0;
     for (std::size_t i = 0; i < host_counts.size(); ++i) {
-      std::vector<ChurnRun> stream_runs =
-          aggregate(topo, host_counts[i], streams[i]);
-      for (ChurnRun& run : stream_runs) {
-        mismatches += run.verdict_mismatches + run.invalid_designs +
-                      (run.design_comparisons - run.design_matches);
-        rows.push_back(
-            {std::to_string(run.hosts), run.op_class,
-             std::to_string(run.steps), std::to_string(run.capped),
-             bench::fmt_seconds(run.inc_median_seconds),
-             bench::fmt_seconds(run.cold_median_seconds),
-             util::Fixed::from_double(run.speedup_median).to_string() + "x",
-             std::to_string(run.warm) + "/" + std::to_string(run.retract) +
-                 "/" + std::to_string(run.replay) + "/" +
-                 std::to_string(run.full)});
+      for (bench::Row& run : aggregate(topo, host_counts[i], streams[i]))
         runs.push_back(std::move(run));
-      }
+      for (const StepRecord& r : streams[i])
+        failures += r.verdict_mismatch + r.invalid_design +
+                    (r.design_compared && !r.design_matched);
     }
 
     bench::emit("fig7_churn",
                 std::string("Fig 7: incremental vs cold re-synthesis "
                             "under churn (") +
                     topo + ", " + std::to_string(steps) + " ops/stream)",
-                {"hosts", "ops", "steps", "capped", "inc med(s)",
-                 "cold med(s)", "speedup", "warm/retract/replay/full"},
-                rows);
-    write_json(out_path, runs);
-    if (mismatches > 0) {
+                {"topology", "hosts", "op_class", "steps",
+                 "inc_median_seconds", "cold_median_seconds",
+                 "speedup_median", "capped", "verdict_mismatches",
+                 "invalid_designs", "design_comparisons", "design_matches",
+                 "warm", "retract", "replay", "full"},
+                runs, "cs-bench-churn-v1", out_path);
+    if (failures > 0) {
       std::fprintf(stderr,
                    "error: %d verdict/design certification failure(s)\n",
-                   mismatches);
+                   failures);
       return 1;
     }
     return 0;

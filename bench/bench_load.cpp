@@ -40,7 +40,6 @@
 // with req/s, client-observed p50/p99 (service::Histogram percentiles)
 // and the hit rate; schema cs-bench-load-v1, validated (and compared
 // against bench/baselines/BENCH_load.json) by scripts/check_bench.py.
-#include <cstdio>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -57,7 +56,6 @@
 #include "net/server.h"
 #include "service/metrics_registry.h"
 #include "util/strings.h"
-#include "util/table.h"
 #include "util/timer.h"
 
 namespace {
@@ -74,22 +72,6 @@ struct LoadOptions {
   int connections = 4;
   int requests_per_conn = 50;
   int port = -1;  // >= 0: external server mode
-};
-
-/// One (backend, dup%, mode) measurement.
-struct CellResult {
-  std::string backend;
-  int dup_pct = 0;
-  std::string mode;
-  int connections = 0;
-  std::int64_t requests = 0;
-  std::int64_t rejected = 0;
-  std::int64_t errors = 0;
-  double wall_seconds = 0;
-  double req_per_sec = 0;
-  double p50_ms = 0;
-  double p99_ms = 0;
-  double hit_rate_pct = 0;
 };
 
 /// Process-wide unique-key source: every unique request perturbs the
@@ -204,7 +186,9 @@ void run_connection(const LoadOptions& opts, int port,
   for (const double ms : samples) latency.observe(ms);
 }
 
-CellResult run_cell(const LoadOptions& opts, int port,
+/// One artifact run: the (backend, dup%, mode) cell's throughput,
+/// client-observed latency percentiles and duplicate hit rate.
+bench::Row run_cell(const LoadOptions& opts, int port,
                     const std::string& backend,
                     const std::string& spec_text, int dup_pct) {
   const int conns = opts.connections;
@@ -235,57 +219,21 @@ CellResult run_cell(const LoadOptions& opts, int port,
   for (std::thread& th : threads) th.join();
   const double wall = watch.elapsed_seconds();
 
-  CellResult cell;
-  cell.backend = backend;
-  cell.dup_pct = dup_pct;
-  cell.mode = opts.mode;
-  cell.connections = conns;
-  cell.requests = static_cast<std::int64_t>(conns) * per_conn;
-  cell.rejected = rejected;
-  cell.errors = errors;
-  cell.wall_seconds = wall;
-  cell.req_per_sec =
-      wall > 0 ? static_cast<double>(cell.requests) / wall : 0;
-  cell.p50_ms = latency.percentile_ms(0.50);
-  cell.p99_ms = latency.percentile_ms(0.99);
+  const std::int64_t requests = static_cast<std::int64_t>(conns) * per_conn;
+  const double req_per_sec =
+      wall > 0 ? static_cast<double>(requests) / wall : 0;
   // Hit rate over *answered* requests: a rejected request never reached
   // the cache, so it says nothing about cache effectiveness.
-  const std::int64_t answered = cell.requests - rejected;
-  cell.hit_rate_pct =
+  const std::int64_t answered = requests - rejected;
+  const double hit_rate_pct =
       answered > 0
           ? 100.0 * static_cast<double>(hits) / static_cast<double>(answered)
           : 0;
-  return cell;
-}
-
-void write_json(const std::string& path,
-                const std::vector<CellResult>& cells) {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"schema\": \"cs-bench-load-v1\",\n  \"runs\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const CellResult& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"backend\": \"%s\", \"dup_pct\": %d, \"mode\": \"%s\",\n"
-        "     \"connections\": %d, \"requests\": %lld, \"rejected\": "
-        "%lld, \"errors\": %lld,\n"
-        "     \"wall_seconds\": %.6f, \"req_per_sec\": %.3f,\n"
-        "     \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"hit_rate_pct\": "
-        "%.2f}%s\n",
-        c.backend.c_str(), c.dup_pct, c.mode.c_str(), c.connections,
-        static_cast<long long>(c.requests),
-        static_cast<long long>(c.rejected),
-        static_cast<long long>(c.errors), c.wall_seconds, c.req_per_sec,
-        c.p50_ms, c.p99_ms, c.hit_rate_pct,
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::cout << "\nwrote " << path << "\n";
+  return {backend, dup_pct, opts.mode, conns, requests, rejected, errors,
+          bench::number(wall, 6), bench::number(req_per_sec, 3),
+          bench::number(latency.percentile_ms(0.50), 3),
+          bench::number(latency.percentile_ms(0.99), 3),
+          bench::number(hit_rate_pct, 2)};
 }
 
 LoadOptions parse_flags(int argc, char** argv) {
@@ -352,7 +300,7 @@ int main(int argc, char** argv) {
         bench::make_eval_spec(6, 5, 0.10, 4242, /*services=*/1);
     const std::string spec_text = model::serialize_input(spec);
 
-    std::vector<CellResult> cells;
+    std::vector<bench::Row> cells;
     if (opts.port >= 0) {
       const std::string label =
           smt::backend_name(opts.common.synthesis.backend);
@@ -375,24 +323,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    util::TextTable table({"backend", "dup%", "mode", "conns", "requests",
-                           "req/s", "p50 ms", "p99 ms", "hit%", "rejected",
-                           "errors"});
-    for (const CellResult& c : cells) {
-      char req_s[32], p50[32], p99[32], hit[32];
-      std::snprintf(req_s, sizeof(req_s), "%.1f", c.req_per_sec);
-      std::snprintf(p50, sizeof(p50), "%.2f", c.p50_ms);
-      std::snprintf(p99, sizeof(p99), "%.2f", c.p99_ms);
-      std::snprintf(hit, sizeof(hit), "%.1f", c.hit_rate_pct);
-      table.add_row({c.backend, std::to_string(c.dup_pct), c.mode,
-                     std::to_string(c.connections),
-                     std::to_string(c.requests), req_s, p50, p99, hit,
-                     std::to_string(c.rejected),
-                     std::to_string(c.errors)});
-    }
-    std::cout << "=== cs-req-v1 wire load (" << opts.mode << " loop) ===\n"
-              << table.render();
-    write_json(opts.out_path, cells);
+    bench::emit("load",
+                "cs-req-v1 wire load (" + opts.mode + " loop)",
+                {"backend", "dup_pct", "mode", "connections", "requests",
+                 "rejected", "errors", "wall_seconds", "req_per_sec",
+                 "p50_ms", "p99_ms", "hit_rate_pct"},
+                cells, "cs-bench-load-v1", opts.out_path);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";

@@ -20,8 +20,8 @@
 //     cold, under a 100000-conflict cap.
 //
 // Unlike the figure benches this one takes no CS_BENCH_BACKEND — every
-// run is MiniPB — and it emits a machine-readable artifact,
-// BENCH_solver.json (schema cs-bench-solver-v3, one record per
+// run is MiniPB — and its table is also written as a machine-readable
+// artifact, BENCH_solver.json (schema cs-bench-solver-v3, one run per
 // (workload, backend, phase)), that scripts/check_bench.py validates and
 // compares against the committed baseline in bench/baselines/.
 //
@@ -30,8 +30,6 @@
 // amount of work instead of an unbounded one). peak_rss_bytes is the
 // process-wide high-water mark when the run finishes, so it is monotone
 // across the runs of one invocation — compare like-positioned runs only.
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -50,22 +48,22 @@ using minisolver::PbTerm;
 using minisolver::Solver;
 using minisolver::Var;
 
-struct RunRecord {
-  std::string workload;
-  const char* phase = "cold";  // "cold" | "warm"
-  int points = 0;
-  double wall_seconds = 0;
-  std::int64_t conflicts = 0;
-  std::int64_t propagations = 0;
-  std::int64_t rephases = 0;
-  std::int64_t minimized_literals = 0;
-  std::int64_t peak_rss_bytes = 0;
-
-  double per_sec(std::int64_t count) const {
-    return wall_seconds > 0 ? static_cast<double>(count) / wall_seconds
-                            : 0.0;
-  }
-};
+/// One artifact run: counts are cumulative over the run's points and
+/// rates are counts/wall.
+bench::Row run_row(const std::string& workload, const char* phase,
+                   int points, double wall_seconds, std::int64_t conflicts,
+                   std::int64_t propagations, std::int64_t rephases,
+                   std::int64_t minimized_literals) {
+  const auto per_sec = [&](std::int64_t count) {
+    return bench::number(
+        wall_seconds > 0 ? static_cast<double>(count) / wall_seconds : 0.0,
+        1);
+  };
+  return {workload, "minipb", phase, points,
+          bench::number(wall_seconds, 6), conflicts, propagations,
+          per_sec(conflicts), per_sec(propagations), rephases,
+          minimized_literals, util::peak_rss_bytes()};
+}
 
 // ---- sweep-engine workloads (whole solver, end to end) ---------------------
 
@@ -101,23 +99,17 @@ std::vector<Workload> make_workloads() {
   return out;
 }
 
-RunRecord measure_sweep(const std::string& workload, const char* phase,
-                        const synth::SweepEngine& engine,
-                        synth::SweepRequest& request) {
+bench::Row measure_sweep(const std::string& workload, const char* phase,
+                         const synth::SweepEngine& engine,
+                         synth::SweepRequest& request) {
   request.warm_start = std::string(phase) == "warm";
   util::Stopwatch watch;
   const synth::SweepResult result = engine.run(request);
-  RunRecord rec;
-  rec.workload = workload;
-  rec.phase = phase;
-  rec.points = static_cast<int>(result.points.size());
-  rec.wall_seconds = watch.elapsed_seconds();
-  rec.conflicts = result.total_solver.conflicts;
-  rec.propagations = result.total_solver.propagations;
-  rec.rephases = result.total_solver.rephases;
-  rec.minimized_literals = result.total_solver.minimized_literals;
-  rec.peak_rss_bytes = util::peak_rss_bytes();
-  return rec;
+  const double wall = watch.elapsed_seconds();
+  const smt::SolverStats& stats = result.total_solver;
+  return run_row(workload, phase, static_cast<int>(result.points.size()),
+                 wall, stats.conflicts, stats.propagations, stats.rephases,
+                 stats.minimized_literals);
 }
 
 // ---- PB-core workload (direct solver, PB propagation dominates) ------------
@@ -163,22 +155,17 @@ void build_pb_core(Solver& s, util::Rng& rng) {
 /// persistent solver re-solved under kPbWarmRounds random
 /// threshold-assumption rounds (the synthesizer's probe pattern); the
 /// wall excludes loading.
-RunRecord measure_pb_core(const char* phase) {
+bench::Row measure_pb_core(const char* phase) {
   Solver s;
   util::Rng rng(4242);
-  RunRecord rec;
-  rec.workload = "fig5a_pb_core";
-  rec.phase = phase;
   const bool cold = std::string(phase) == "cold";
   util::Stopwatch watch;  // cold wall includes the load below
   build_pb_core(s, rng);
   s.set_conflict_limit(kPbCap);
   if (cold) {
-    rec.points = 1;
     (void)s.solve();
   } else {
     watch.reset();  // warm wall starts after the load
-    rec.points = kPbWarmRounds;
     for (int round = 0; round < kPbWarmRounds; ++round) {
       std::vector<Lit> assume;
       for (Var v = 0; v < kPbVars; ++v)
@@ -187,45 +174,10 @@ RunRecord measure_pb_core(const char* phase) {
       (void)s.solve(assume);
     }
   }
-  rec.wall_seconds = watch.elapsed_seconds();
-  rec.conflicts = s.stats().conflicts;
-  rec.propagations = s.stats().propagations;
-  rec.rephases = s.stats().rephases;
-  rec.minimized_literals = s.stats().minimized_literals;
-  rec.peak_rss_bytes = util::peak_rss_bytes();
-  return rec;
-}
-
-// ---- output ----------------------------------------------------------------
-
-void write_json(const char* path, const std::vector<RunRecord>& runs) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path);
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"schema\": \"cs-bench-solver-v3\",\n");
-  std::fprintf(f, "  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunRecord& r = runs[i];
-    std::fprintf(
-        f,
-        "    {\"workload\": \"%s\", \"backend\": \"minipb\", "
-        "\"phase\": \"%s\", \"points\": %d, \"wall_seconds\": %.6f, "
-        "\"conflicts\": %lld, \"propagations\": %lld, "
-        "\"conflicts_per_sec\": %.1f, \"propagations_per_sec\": %.1f, "
-        "\"rephases\": %lld, "
-        "\"minimized_literals\": %lld, \"peak_rss_bytes\": %lld}%s\n",
-        r.workload.c_str(), r.phase, r.points, r.wall_seconds,
-        static_cast<long long>(r.conflicts),
-        static_cast<long long>(r.propagations), r.per_sec(r.conflicts),
-        r.per_sec(r.propagations), static_cast<long long>(r.rephases),
-        static_cast<long long>(r.minimized_literals),
-        static_cast<long long>(r.peak_rss_bytes),
-        i + 1 < runs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  const double wall = watch.elapsed_seconds();
+  return run_row("fig5a_pb_core", phase, cold ? 1 : kPbWarmRounds, wall,
+                 s.stats().conflicts, s.stats().propagations,
+                 s.stats().rephases, s.stats().minimized_literals);
 }
 
 }  // namespace
@@ -233,7 +185,7 @@ void write_json(const char* path, const std::vector<RunRecord>& runs) {
 int main(int argc, char** argv) {
   using namespace cs;
   const bench::TraceGuard trace(argc, argv);
-  std::vector<RunRecord> runs;
+  std::vector<bench::Row> runs;
 
   for (const Workload& w : make_workloads()) {
     synth::SweepRequest request =
@@ -259,21 +211,11 @@ int main(int argc, char** argv) {
   runs.push_back(measure_sweep("fig3a_grid", "cold",
                                synth::SweepEngine(fig3a), request));
 
-  std::vector<std::vector<std::string>> rows;
-  for (const RunRecord& r : runs) {
-    char cps[32], pps[32];
-    std::snprintf(cps, sizeof cps, "%.0f", r.per_sec(r.conflicts));
-    std::snprintf(pps, sizeof pps, "%.0f", r.per_sec(r.propagations));
-    rows.push_back({r.workload, r.phase, std::to_string(r.points),
-                    bench::fmt_seconds(r.wall_seconds),
-                    std::to_string(r.conflicts), cps, pps});
-  }
   bench::emit("solver_core", "Solver core throughput (MiniPB)",
-              {"workload", "phase", "points", "wall(s)", "conflicts",
-               "conflicts/s", "props/s"},
-              rows);
-
-  write_json("BENCH_solver.json", runs);
-  std::printf("(JSON written to BENCH_solver.json)\n");
+              {"workload", "backend", "phase", "points", "wall_seconds",
+               "conflicts", "propagations", "conflicts_per_sec",
+               "propagations_per_sec", "rephases", "minimized_literals",
+               "peak_rss_bytes"},
+              runs, "cs-bench-solver-v3", "BENCH_solver.json");
   return 0;
 }

@@ -14,7 +14,7 @@ int main() {
   const model::ProblemSpec spec = bench::make_paper_example_spec();
 
   const std::vector<synth::SliderChoice> rows = synth::slider_assistance(spec);
-  std::vector<std::vector<std::string>> out;
+  std::vector<bench::Row> out;
   for (const synth::SliderChoice& r : rows)
     out.push_back({r.isolation.to_string(), r.usability.to_string(),
                    r.description});

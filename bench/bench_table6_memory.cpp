@@ -16,10 +16,10 @@ int main() {
   const util::Fixed scenarios[] = {util::Fixed::from_int(3),
                                    util::Fixed::from_int(5)};
 
-  std::vector<std::vector<std::string>> rows;
+  std::vector<bench::Row> rows;
   for (const int hosts : host_counts) {
     const int routers = std::clamp(8 + hosts / 5, 8, 20);
-    std::vector<std::string> row{std::to_string(hosts)};
+    bench::Row row{std::to_string(hosts)};
     for (const util::Fixed iso : scenarios) {
       const model::ProblemSpec spec = bench::make_eval_spec(
           hosts, routers, 0.10, 6000 + static_cast<std::uint64_t>(hosts));

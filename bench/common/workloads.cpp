@@ -2,12 +2,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string_view>
 
 #include "obs/trace.h"
 #include "topology/generator.h"
+#include "util/csv.h"
+#include "util/error.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "util/table.h"
 #include "util/timer.h"
 
 namespace cs::bench {
@@ -167,18 +171,59 @@ double median_synthesis_seconds(int hosts, int routers, double cr_fraction,
   return times[times.size() / 2];
 }
 
+Cell number(double value, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
+  Cell cell(buf);
+  cell.numeric = true;
+  return cell;
+}
+
 void emit(const std::string& name, const std::string& title,
-          const std::vector<std::string>& header,
-          const std::vector<std::vector<std::string>>& rows) {
+          const std::vector<std::string>& header, const std::vector<Row>& rows,
+          const std::string& schema, const std::string& json_path) {
+  std::vector<std::vector<std::string>> texts;
+  for (const Row& row : rows) {
+    texts.emplace_back();
+    for (const Cell& cell : row) texts.back().push_back(cell.text);
+  }
+
   std::printf("=== %s ===\n", title.c_str());
   util::TextTable table(header);
-  for (const auto& row : rows) table.add_row(row);
+  for (const auto& row : texts) table.add_row(row);
   std::fputs(table.render().c_str(), stdout);
 
   const std::string path = name + ".csv";
   util::CsvWriter csv(path, header);
-  for (const auto& row : rows) csv.add_row(row);
-  std::printf("(series written to %s)\n\n", path.c_str());
+  for (const auto& row : texts) csv.add_row(row);
+  if (!csv.ok()) throw util::Error("cannot write " + path);
+  std::printf("(series written to %s)\n", path.c_str());
+
+  if (!schema.empty()) {
+    std::string json = "{\n  \"schema\": ";
+    util::append_json_string(json, schema);
+    json += ",\n  \"runs\": [\n";
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      json += "    {";
+      for (std::size_t c = 0; c < header.size(); ++c) {
+        if (c > 0) json += ", ";
+        util::append_json_string(json, header[c]);
+        json += ": ";
+        if (rows[r][c].numeric)
+          json += rows[r][c].text;
+        else
+          util::append_json_string(json, rows[r][c].text);
+      }
+      json += r + 1 < rows.size() ? "},\n" : "}\n";
+    }
+    json += "  ]\n}\n";
+    std::ofstream out(json_path);
+    out << json;
+    out.close();
+    if (!out) throw util::Error("cannot write " + json_path);
+    std::printf("(runs written to %s)\n", json_path.c_str());
+  }
+  std::printf("\n");
 }
 
 std::string fmt_seconds(double s) {

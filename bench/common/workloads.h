@@ -1,4 +1,5 @@
-// Shared workload builder and measurement helpers for the bench binaries.
+// Shared workload builder, measurement helpers and result writer for the
+// bench binaries.
 //
 // Every figure/table bench generates networks through this module so the
 // whole evaluation agrees on the methodology (paper §V): random connected
@@ -11,8 +12,10 @@
 //   * full  (CS_BENCH_FULL=1) — paper-scale parameter ranges.
 #pragma once
 
+#include <concepts>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/spec.h"
@@ -20,8 +23,6 @@
 #include "synth/sweep.h"
 #include "synth/synthesizer.h"
 #include "topology/structured.h"
-#include "util/csv.h"
-#include "util/table.h"
 
 namespace cs::bench {
 
@@ -107,10 +108,32 @@ double median_synthesis_seconds(int hosts, int routers, double cr_fraction,
                                 const model::Sliders& sliders,
                                 bool* all_decided = nullptr);
 
-/// Prints the table and writes `<name>.csv` beside the binary.
+/// One result cell: the text every output shows, and whether it is a
+/// number. A numeric cell is a JSON number in the bench's artifact, any
+/// other cell a JSON string.
+struct Cell {
+  Cell(std::string text) : text(std::move(text)) {}
+  Cell(const char* text) : text(text) {}
+  template <std::integral T>
+  Cell(T value) : text(std::to_string(value)), numeric(true) {}
+
+  std::string text;
+  bool numeric = false;
+};
+
+/// A number cell printed with `decimals` digits after the point.
+Cell number(double value, int decimals);
+
+using Row = std::vector<Cell>;
+
+/// Prints `rows` as a table under `title` and writes `<name>.csv` into the
+/// working directory. Given a `schema`, also writes `json_path` as that
+/// schema's artifact: {"schema": ..., "runs": [...]} with one run object
+/// per row, keyed by the header. Throws util::Error when a file cannot be
+/// written.
 void emit(const std::string& name, const std::string& title,
-          const std::vector<std::string>& header,
-          const std::vector<std::vector<std::string>>& rows);
+          const std::vector<std::string>& header, const std::vector<Row>& rows,
+          const std::string& schema = "", const std::string& json_path = "");
 
 /// Formats seconds with millisecond resolution.
 std::string fmt_seconds(double s);

@@ -20,11 +20,11 @@
 //
 // Both modes accept the shared flag surface (net/options.h):
 // --backend, --jobs, --queue-limit, --cache-capacity, --time-limit,
-// --conflict-limit, --metrics-csv, --metrics-prom, --trace-out.
+// --conflict-limit, --metrics-prom, --trace-out.
 //
 // SIGINT/SIGTERM drain gracefully in both modes: queued requests are
 // cancelled cooperatively, in-flight solves finish and answer, and the
-// metrics dump (summary, CSV, Prometheus, trace) still happens before
+// metrics dump (summary, Prometheus, trace) still happens before
 // the conventional fatal-signal exit code 130 — an interrupted run is
 // observable rather than silent.
 #include <sys/eventfd.h>
@@ -89,10 +89,6 @@ std::string fmt_ms(double ms) {
 void dump_metrics(const service::MetricsRegistry& metrics,
                   const net::CommonOptions& opts) {
   std::cout << metrics.render();
-  if (!opts.metrics_csv.empty()) {
-    metrics.write_csv(opts.metrics_csv);
-    std::cout << "\nmetrics csv written to " << opts.metrics_csv << "\n";
-  }
   if (!opts.metrics_prom.empty()) {
     std::ofstream prom(opts.metrics_prom);
     CS_REQUIRE(static_cast<bool>(prom), "cannot open metrics-prom file '" +

@@ -21,7 +21,6 @@ const char* const kHelp =
     "none)\n"
     "  --shard                sharded synthesis, automatic region count\n"
     "  --shard-regions <N>    sharded synthesis with N regions (N >= 2)\n"
-    "  --metrics-csv <file>   dump metrics as CSV on exit\n"
     "  --metrics-prom <file>  dump metrics in Prometheus text format\n"
     "  --trace-out <file>     record a Chrome-trace-event JSON timeline\n";
 
@@ -65,8 +64,6 @@ bool consume_common_flag(CommonOptions& options, int argc, char** argv,
     const std::int64_t v = next_count("shard regions");
     CS_REQUIRE(v >= 2, "--shard-regions must be >= 2");
     options.service.shard_regions = static_cast<int>(v);
-  } else if (flag == "--metrics-csv") {
-    options.metrics_csv = next();
   } else if (flag == "--metrics-prom") {
     options.metrics_prom = next();
   } else if (flag == "--trace-out") {

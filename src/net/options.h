@@ -12,7 +12,6 @@
 //   --conflict-limit <n>     per-check deterministic effort cap
 //   --shard                  sharded synthesis, automatic region count
 //   --shard-regions <N>      sharded synthesis with N regions (N >= 2)
-//   --metrics-csv <file>     dump the metrics registry as CSV
 //   --metrics-prom <file>    dump the metrics in Prometheus text format
 //   --trace-out <file>       record a Chrome-trace-event JSON timeline
 //
@@ -34,7 +33,6 @@ struct CommonOptions {
   synth::SynthesisOptions synthesis;
   /// Workers (--jobs), queue limit, cache capacity.
   service::ServiceConfig service;
-  std::string metrics_csv;
   std::string metrics_prom;
   std::string trace_path;
 };

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace cs::obs {
 
@@ -152,39 +153,6 @@ TraceSession::snapshot_by_track() const {
 
 namespace {
 
-/// JSON string escaping (control characters, quote, backslash).
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_number(std::string& out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.3f", v);
@@ -198,9 +166,9 @@ void append_args(std::string& out,
   for (const auto& [key, value] : args) {
     if (!first) out += ",";
     first = false;
-    append_json_string(out, key);
+    util::append_json_string(out, key);
     out += ":";
-    append_json_string(out, value);
+    util::append_json_string(out, value);
   }
   out += "}";
 }
@@ -222,7 +190,7 @@ std::string TraceSession::to_json() const {
     if (!track->name().empty()) {
       emit_prefix(*track);
       out += "\"ph\":\"M\",\"name\":\"thread_name\",\"args\":{\"name\":";
-      append_json_string(out, track->name());
+      util::append_json_string(out, track->name());
       out += "}}";
     }
     track->visit([&](const TraceEvent& e) {
@@ -234,9 +202,9 @@ std::string TraceSession::to_json() const {
           out += "\"ph\":\"";
           out += ph;
           out += "\",\"name\":";
-          append_json_string(out, e.name);
+          util::append_json_string(out, e.name);
           out += ",\"cat\":";
-          append_json_string(out, e.category);
+          util::append_json_string(out, e.category);
           out += ",\"id\":";
           out += std::to_string(e.value);
           out += ",\"ts\":";
@@ -255,9 +223,9 @@ std::string TraceSession::to_json() const {
       out += "\"ph\":";
       out += e.kind == TraceEvent::Kind::kSpan ? "\"X\"" : "\"C\"";
       out += ",\"name\":";
-      append_json_string(out, e.name);
+      util::append_json_string(out, e.name);
       out += ",\"cat\":";
-      append_json_string(out, e.category);
+      util::append_json_string(out, e.category);
       out += ",\"ts\":";
       append_number(out, e.ts_us);
       if (e.kind == TraceEvent::Kind::kSpan) {

@@ -5,7 +5,6 @@
 #include <tuple>
 #include <utility>
 
-#include "util/csv.h"
 #include "util/table.h"
 
 namespace cs::service {
@@ -216,39 +215,6 @@ std::string MetricsRegistry::render_prometheus() const {
     out += name + "_count " + std::to_string(h.count()) + "\n";
   }
   return out;
-}
-
-void MetricsRegistry::write_csv(const std::string& path) const {
-  std::vector<std::pair<std::string, std::int64_t>> counter_rows;
-  std::vector<std::string> histo_names;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [n, c] : counters_) counter_rows.emplace_back(n, c.value());
-    for (const auto& [n, h] : histograms_) histo_names.push_back(n);
-  }
-  std::sort(counter_rows.begin(), counter_rows.end());
-  std::sort(histo_names.begin(), histo_names.end());
-
-  util::CsvWriter csv(path, {"kind", "name", "field", "value"});
-  for (const auto& [n, v] : counter_rows)
-    csv.add_row({"counter", n, "value", std::to_string(v)});
-  for (const std::string& n : histo_names) {
-    const Histogram& h = const_cast<MetricsRegistry*>(this)->histogram(n);
-    csv.add_row({"histogram", n, "count", std::to_string(h.count())});
-    csv.add_row({"histogram", n, "sum_ms", fmt_ms(h.sum_ms())});
-    csv.add_row({"histogram", n, "min_ms", fmt_ms(h.min_ms())});
-    csv.add_row({"histogram", n, "max_ms", fmt_ms(h.max_ms())});
-    csv.add_row({"histogram", n, "p50_ms", fmt_ms(h.percentile_ms(0.50))});
-    csv.add_row({"histogram", n, "p90_ms", fmt_ms(h.percentile_ms(0.90))});
-    csv.add_row({"histogram", n, "p99_ms", fmt_ms(h.percentile_ms(0.99))});
-    const auto counts = h.buckets();
-    const auto& bounds = Histogram::bucket_bounds();
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      const std::string le =
-          i < bounds.size() ? fmt_ms(bounds[i]) : "inf";
-      csv.add_row({"histogram", n, "le_" + le, std::to_string(counts[i])});
-    }
-  }
 }
 
 }  // namespace cs::service

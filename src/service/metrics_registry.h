@@ -3,9 +3,9 @@
 // A `MetricsRegistry` is the service's single observability surface:
 // named monotonic counters (requests, cache hits, per-backend probe
 // counts, rejections) and latency histograms (enqueue→start wait, solve
-// wall time) with fixed exponential millisecond buckets. Rendering uses
-// the same util::table / util::csv substrate as the bench binaries, so a
-// metrics dump reads like every other table in the repo; SynthService
+// wall time) with fixed exponential millisecond buckets. The text
+// rendering uses the same util::table substrate as the bench binaries, so
+// a metrics dump reads like every other table in the repo; SynthService
 // dumps it on shutdown and on demand.
 //
 // Thread-safety: counter increments are lock-free atomics; histogram
@@ -91,10 +91,6 @@ class MetricsRegistry {
   /// cumulative series plus `_sum`/`_count`. Names are sanitized to the
   /// Prometheus charset.
   std::string render_prometheus() const;
-
-  /// Writes one long-form CSV: kind,name,field,value rows (counters have
-  /// one row; histograms one row per summary field and bucket).
-  void write_csv(const std::string& path) const;
 
  private:
   mutable std::mutex mutex_;

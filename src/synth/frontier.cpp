@@ -26,24 +26,6 @@ FrontierPoint to_frontier_point(util::Fixed floor, util::Fixed budget,
   return p;
 }
 
-/// Incremental mode: the whole grid against one synthesizer, guard
-/// constraints accumulating across points.
-std::vector<FrontierPoint> explore_incremental(
-    const model::ProblemSpec& spec, const SynthesisOptions& synth_options,
-    const FrontierOptions& options) {
-  Synthesizer synth(spec, synth_options);
-  std::vector<FrontierPoint> points;
-  points.reserve(options.usability_floors.size() * options.budgets.size());
-  for (const util::Fixed floor : options.usability_floors) {
-    for (const util::Fixed budget : options.budgets) {
-      const BoundSearchResult best = maximize_isolation(
-          synth, spec, floor, budget, options.optimize);
-      points.push_back(to_frontier_point(floor, budget, best));
-    }
-  }
-  return points;
-}
-
 }  // namespace
 
 FrontierOptions FrontierOptions::fig3_defaults(util::Fixed low_budget,
@@ -62,11 +44,6 @@ std::vector<FrontierPoint> explore_frontier(
              "frontier needs at least one usability floor");
   CS_REQUIRE(!options.budgets.empty(),
              "frontier needs at least one budget");
-  CS_REQUIRE(!(options.reuse_synthesizer && options.jobs != 1),
-             "reuse_synthesizer is serial-only; it conflicts with jobs");
-
-  if (options.reuse_synthesizer)
-    return explore_incremental(spec, synth_options, options);
 
   SweepRequest request = SweepRequest::max_isolation_grid(
       options.usability_floors, options.budgets);

@@ -7,20 +7,10 @@
 // behind the paper's Fig. 3 — returning the frontier as data the caller
 // can render or serialize.
 //
-// Execution modes — the guard-accumulation trade-off. A frontier point is
-// one binary search whose probes add guard literals to the synthesizer.
-// Two ways to run the grid:
-//   * `reuse_synthesizer = true`: every point runs on ONE incremental
-//     synthesizer. Each point reuses the backend's learnt state, but the
-//     guard constraints of all earlier points stay asserted, so late
-//     points probe an ever-larger formula — worthwhile only for small
-//     grids on hard specs where learnt-clause reuse dominates.
-//   * `reuse_synthesizer = false` (default): each point gets a fresh
-//     synthesizer. Every point pays one (cheap) re-encoding but no point
-//     inherits another's guard pile — and because points are then fully
-//     independent, the grid can run on `jobs` parallel workers (one
-//     backend per worker; see synth/sweep.h) with byte-identical results
-//     to a serial run.
+// Every point gets a fresh synthesizer on the sweep engine (synth/sweep.h):
+// points are fully independent, so no point inherits another's guard
+// literals and the grid can run on `jobs` parallel workers (one backend
+// per worker) with byte-identical results to a serial run.
 #pragma once
 
 #include <vector>
@@ -52,11 +42,7 @@ struct FrontierOptions {
   /// Budgets of interest.
   std::vector<util::Fixed> budgets;
   OptimizeOptions optimize;
-  /// Serial, incremental mode: one synthesizer for the whole sweep (see
-  /// the header comment). Mutually exclusive with jobs > 1.
-  bool reuse_synthesizer = false;
-  /// Worker count for the fresh-per-point mode; 0 = one per hardware
-  /// thread, 1 = serial.
+  /// Worker count; 0 = one per hardware thread, 1 = serial.
   int jobs = 1;
   /// Whole-sweep wall-clock cap in ms (0 = none); see SweepRequest.
   std::int64_t deadline_ms = 0;

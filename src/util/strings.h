@@ -29,4 +29,8 @@ long long parse_int(std::string_view text, std::string_view context);
 /// Parses a double; throws SpecError with context on failure.
 double parse_double(std::string_view text, std::string_view context);
 
+/// Appends `s` as a quoted JSON string (escaping control characters,
+/// quote and backslash).
+void append_json_string(std::string& out, std::string_view s);
+
 }  // namespace cs::util

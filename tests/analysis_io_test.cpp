@@ -142,7 +142,6 @@ TEST(Frontier, SweepsAndRenders) {
   synth::FrontierOptions fopts;
   fopts.usability_floors = {Fixed::from_int(0), Fixed::from_int(6)};
   fopts.budgets = {Fixed::from_int(20), Fixed::from_int(80)};
-  fopts.reuse_synthesizer = true;  // serial incremental mode
   const auto points = synth::explore_frontier(spec, opts, fopts);
   ASSERT_EQ(points.size(), 4u);
   // Bigger budget dominates at the same floor (when both exact).

@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "common/workloads.h"
+#include "util/error.h"
 
 namespace cs::bench {
 namespace {
@@ -72,6 +74,49 @@ TEST(Workloads, EmitWritesCsv) {
   EXPECT_EQ(line, "a,b");
   std::getline(in, line);
   EXPECT_EQ(line, "1,2");
+  std::filesystem::remove(name + ".csv");
+}
+
+TEST(Workloads, EmitWritesJsonRunsFromTheSameCells) {
+  const std::string name = ::testing::TempDir() + "/cs_bench_emit_json";
+  const std::string json = name + ".json";
+  emit(name, "test table", {"label", "count", "rate"},
+       {{"say \"hi\"", 3, number(2.0 / 3.0, 3)},
+        {"b", std::int64_t{-7}, number(1.5, 1)}},
+       "cs-bench-test-v1", json);
+
+  std::ifstream in(json);
+  ASSERT_TRUE(static_cast<bool>(in));
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_EQ(text.str(),
+            "{\n"
+            "  \"schema\": \"cs-bench-test-v1\",\n"
+            "  \"runs\": [\n"
+            "    {\"label\": \"say \\\"hi\\\"\", \"count\": 3, "
+            "\"rate\": 0.667},\n"
+            "    {\"label\": \"b\", \"count\": -7, \"rate\": 1.5}\n"
+            "  ]\n"
+            "}\n");
+
+  // The CSV carries the same cell text.
+  std::ifstream csv(name + ".csv");
+  std::string line;
+  std::getline(csv, line);
+  EXPECT_EQ(line, "label,count,rate");
+  std::getline(csv, line);
+  EXPECT_EQ(line, "\"say \"\"hi\"\"\",3,0.667");
+  std::filesystem::remove(json);
+  std::filesystem::remove(name + ".csv");
+}
+
+TEST(Workloads, EmitThrowsOnUnwritablePaths) {
+  const std::string dir = ::testing::TempDir() + "/cs_bench_no_such_dir";
+  const std::string name = ::testing::TempDir() + "/cs_bench_emit_unwritable";
+  EXPECT_THROW(emit(name, "t", {"a"}, {{1}}, "cs-bench-test-v1",
+                    dir + "/BENCH_x.json"),
+               util::Error);
+  EXPECT_THROW(emit(dir + "/t", "t", {"a"}, {{1}}), util::Error);
   std::filesystem::remove(name + ".csv");
 }
 

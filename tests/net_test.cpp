@@ -471,6 +471,17 @@ TEST(TcpServer, GracefulDrainAnswersEveryRequestThenCloses) {
     std::this_thread::yield();
 
   server.shutdown();  // drain: stop accepting, cancel pending, flush
+  // shutdown() only posts the drain to the loop thread. Release the
+  // parked request once the drain has closed the listener, so it runs
+  // after the drain's cancellation rather than racing it.
+  for (;;) {
+    try {
+      BlockingClient probe("127.0.0.1", server.port());
+    } catch (const util::Error&) {
+      break;
+    }
+    std::this_thread::yield();
+  }
   gate.release();
 
   // Cancellation is cooperative and pre-solve: both requests that had

@@ -491,37 +491,5 @@ TEST(SweepEngineMiniPb, WarmSweepSurvivesConflictCappedPoint) {
   }
 }
 
-TEST(SweepEngineMiniPb, IncrementalModeMatchesFreshOnVerdictAndBound) {
-  // The incremental (reuse_synthesizer) path accumulates guards but must
-  // agree with the fresh-per-point path on feasibility and the maximum
-  // isolation bound; only the witnessing designs may differ.
-  const model::ProblemSpec spec = make_example_spec();
-  SynthesisOptions options;
-  options.backend = BackendKind::kMiniPb;
-  options.check_conflict_limit = effort_cap(BackendKind::kMiniPb);
-  FrontierOptions fresh;
-  fresh.usability_floors = {util::Fixed::from_int(0),
-                            util::Fixed::from_int(6)};
-  fresh.budgets = {util::Fixed::from_int(40)};
-  fresh.optimize.resolution = util::Fixed::from_raw(500);
-  FrontierOptions incremental = fresh;
-  incremental.reuse_synthesizer = true;
-  const auto a = explore_frontier(spec, options, fresh);
-  const auto b = explore_frontier(spec, options, incremental);
-  ASSERT_EQ(a.size(), b.size());
-  const std::int64_t res = fresh.optimize.resolution.raw();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].feasible, b[i].feasible) << "point " << i;
-    // The accumulated guards change the solver's learnt state, so a capped
-    // probe may expire in one mode and not the other; the grid-aligned
-    // maximum is only comparable when both searches completed every probe.
-    if (a[i].exact && b[i].exact) {
-      EXPECT_EQ(a[i].max_isolation.raw() / res,
-                b[i].max_isolation.raw() / res)
-          << "point " << i;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace cs::synth
