@@ -6,6 +6,8 @@
 //                                exposure, and save the design
 //   optimize <input.cfg>         maximize isolation under the file's
 //                                usability/budget sliders
+//   mincost <input.cfg>          minimize the budget under the file's
+//                                isolation/usability sliders
 //   frontier <input.cfg>         sweep the usability/budget trade-off grid
 //   assist <input.cfg>           print the Table III slider assistance
 //   explain <input.cfg>          run Algorithm 1 on an UNSAT slider triple
@@ -16,12 +18,15 @@
 // (sweep workers for `frontier`; 0 = one per hardware thread), and
 // --trace-out; the service-only flags (--queue-limit, --cache-capacity,
 // --metrics-*) are accepted for uniformity but only apply to the
-// service-backed binaries. `synth` honors --shard/--shard-regions by
-// solving through shard::ShardedSynthesizer (region solves run on
-// --jobs workers) and prints the partition/stitch summary before the
-// usual report. Plus:
+// service-backed binaries. Plus:
 //   --out <file>          where `synth` writes the design (default
 //                         design.txt)
+//   --shard               `synth` solves through shard::ShardedSynthesizer
+//                         (automatic region count; region solves run on
+//                         --jobs workers) and prints the partition/stitch
+//                         summary before the usual report
+//   --shard-regions <N>   the same with N regions (N >= 2)
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -50,6 +55,9 @@ struct CliOptions {
   /// worker count for `frontier`.
   net::CommonOptions common;
   std::string out_path = "design.txt";
+  /// Sharded `synth`: 0 = off, -1 = automatic region count, >= 2 = that
+  /// many regions.
+  int shard_regions = 0;
 };
 
 CliOptions parse_flags(int argc, char** argv, int first_flag) {
@@ -65,6 +73,12 @@ CliOptions parse_flags(int argc, char** argv, int first_flag) {
     if (net::consume_common_flag(opts.common, argc, argv, i)) {
     } else if (flag == "--out") {
       opts.out_path = next();
+    } else if (flag == "--shard") {
+      if (opts.shard_regions == 0) opts.shard_regions = -1;
+    } else if (flag == "--shard-regions") {
+      const long long regions = util::parse_int(next(), flag);
+      CS_REQUIRE(regions >= 2, "--shard-regions must be >= 2");
+      opts.shard_regions = static_cast<int>(regions);
     } else {
       throw util::SpecError("unknown flag '" + flag + "'");
     }
@@ -80,9 +94,7 @@ int cmd_synth_sharded(const model::ProblemSpec& spec,
                       const CliOptions& opts) {
   shard::ShardOptions shard_options;
   shard_options.synthesis = opts.common.synthesis;
-  shard_options.regions = opts.common.service.shard_regions < 0
-                              ? 0
-                              : opts.common.service.shard_regions;
+  shard_options.regions = std::max(opts.shard_regions, 0);
   shard_options.jobs = opts.common.service.workers;
   shard::ShardedOutcome outcome =
       shard::ShardedSynthesizer(spec, shard_options).synthesize();
@@ -131,8 +143,7 @@ int cmd_synth_sharded(const model::ProblemSpec& spec,
 }
 
 int cmd_synth(const model::ProblemSpec& spec, const CliOptions& opts) {
-  if (opts.common.service.shard_regions != 0)
-    return cmd_synth_sharded(spec, opts);
+  if (opts.shard_regions != 0) return cmd_synth_sharded(spec, opts);
   synth::Synthesizer synthesizer(spec, opts.common.synthesis);
   const synth::SynthesisResult result = synthesizer.synthesize();
   std::cout << analysis::render_report(spec, result);
@@ -226,7 +237,8 @@ int main(int argc, char** argv) {
     if (argc < 3) {
       std::cerr
           << "usage: " << argv[0]
-          << " synth|optimize|frontier|assist|explain <input.cfg> [flags]\n"
+          << " synth|optimize|mincost|frontier|assist|explain <input.cfg>"
+             " [flags]\n"
           << "       " << argv[0] << " check <input.cfg> <design> [flags]\n";
       return 2;
     }

@@ -19,8 +19,8 @@
 //     Port 0 picks an ephemeral port (printed on startup).
 //
 // Both modes accept the shared flag surface (net/options.h):
-// --backend, --jobs, --queue-limit, --cache-capacity, --time-limit,
-// --conflict-limit, --metrics-prom, --trace-out.
+// --backend, --jobs, --queue-limit, --cache-capacity, --warm-pool,
+// --time-limit, --conflict-limit, --metrics-prom, --trace-out.
 //
 // SIGINT/SIGTERM drain gracefully in both modes: queued requests are
 // cancelled cooperatively, in-flight solves finish and answer, and the

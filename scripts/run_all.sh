@@ -27,22 +27,24 @@ python3 scripts/check_trace.py server_trace.json \
 python3 scripts/check_trace.py cli_trace.json \
   encode/ synth/check minipb/conflicts
 
-# Parallel-safety audit: the sweep-engine/thread-pool/service tests under
-# ThreadSanitizer on the MiniPB backend. Z3 is an uninstrumented system
-# library, so only the from-scratch backend gives TSan full visibility;
-# the filters select the pool tests plus every MiniPB-backed sweep and
-# service test. Skip with CS_SKIP_TSAN=1.
+# Parallel-safety audit: the concurrency-heavy tests under ThreadSanitizer
+# on the MiniPB backend — the same targets and filters as CI's tsan job.
+# Z3 is an uninstrumented system library, so only the from-scratch backend
+# gives TSan full visibility; the filters select the pool tests plus every
+# MiniPB-backed sweep and service test. Skip with CS_SKIP_TSAN=1.
 if [ "${CS_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B build-tsan -G Ninja -DCONFIGSYNTH_SANITIZE=thread
   cmake --build build-tsan \
-    --target sweep_test service_test obs_test delta_test minisolver_test \
-    fuzz_minipb
+    --target sweep_test service_test obs_test net_test shard_test \
+    delta_test minisolver_test fuzz_minipb
   ./build-tsan/tests/sweep_test \
     --gtest_filter='ThreadPool*:SweepEngineMiniPb*:*minipb*' \
     2>&1 | tee tsan_output.txt
   ./build-tsan/tests/service_test \
     --gtest_filter='SynthServiceMiniPb*:ResultCache*:Metrics*:*minipb*' \
     2>&1 | tee -a tsan_output.txt
+  ./build-tsan/tests/net_test 2>&1 | tee -a tsan_output.txt
+  ./build-tsan/tests/shard_test 2>&1 | tee -a tsan_output.txt
   ./build-tsan/tests/delta_test \
     --gtest_filter='DeltaSynthesisParallel*:DeltaGrammar*' \
     2>&1 | tee -a tsan_output.txt

@@ -19,8 +19,6 @@ const char* const kHelp =
     "  --time-limit <ms>      per-check wall-clock cap (0 = none)\n"
     "  --conflict-limit <n>   per-check deterministic effort cap (0 = "
     "none)\n"
-    "  --shard                sharded synthesis, automatic region count\n"
-    "  --shard-regions <N>    sharded synthesis with N regions (N >= 2)\n"
     "  --metrics-prom <file>  dump metrics in Prometheus text format\n"
     "  --trace-out <file>     record a Chrome-trace-event JSON timeline\n";
 
@@ -57,13 +55,6 @@ bool consume_common_flag(CommonOptions& options, int argc, char** argv,
     options.synthesis.check_time_limit_ms = next_count("time limit");
   } else if (flag == "--conflict-limit") {
     options.synthesis.check_conflict_limit = next_count("conflict limit");
-  } else if (flag == "--shard") {
-    if (options.service.shard_regions == 0)
-      options.service.shard_regions = -1;  // automatic region count
-  } else if (flag == "--shard-regions") {
-    const std::int64_t v = next_count("shard regions");
-    CS_REQUIRE(v >= 2, "--shard-regions must be >= 2");
-    options.service.shard_regions = static_cast<int>(v);
   } else if (flag == "--metrics-prom") {
     options.metrics_prom = next();
   } else if (flag == "--trace-out") {

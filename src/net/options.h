@@ -8,15 +8,14 @@
 //   --jobs <N>               worker threads (0 = one per hardware thread)
 //   --queue-limit <N>        admission-control queue depth
 //   --cache-capacity <N>     LRU result-cache entries
+//   --warm-pool <N>          parked warm synthesizers (0 = off)
 //   --time-limit <ms>        per-check wall-clock cap
 //   --conflict-limit <n>     per-check deterministic effort cap
-//   --shard                  sharded synthesis, automatic region count
-//   --shard-regions <N>      sharded synthesis with N regions (N >= 2)
 //   --metrics-prom <file>    dump the metrics in Prometheus text format
 //   --trace-out <file>       record a Chrome-trace-event JSON timeline
 //
 // Binaries call `consume_common_flag` per argv position and handle their
-// own extras (positional arguments, --listen, --port, ...) when it
+// own extras (positional arguments, --listen, --port, --shard, ...) when it
 // declines; `common_flags_help()` is the usage text for the block above.
 #pragma once
 
@@ -31,7 +30,7 @@ namespace cs::net {
 struct CommonOptions {
   /// Backend, per-check caps, threshold mode.
   synth::SynthesisOptions synthesis;
-  /// Workers (--jobs), queue limit, cache capacity.
+  /// Workers (--jobs), queue limit, cache capacity, warm pool.
   service::ServiceConfig service;
   std::string metrics_prom;
   std::string trace_path;

@@ -5,11 +5,18 @@
 #include <utility>
 
 #include "obs/trace.h"
-#include "shard/sharded.h"
 #include "util/error.h"
 #include "util/timer.h"
 
 namespace cs::service {
+
+namespace {
+
+/// A conflict-capped kUnknown probe is retried once at this multiple of
+/// its cap.
+constexpr std::int64_t kRetryCapFactor = 4;
+
+}  // namespace
 
 std::string_view reject_reason_name(RejectReason reason) {
   switch (reason) {
@@ -42,8 +49,6 @@ SynthService::SynthService(ServiceConfig config)
                    : config_.workers),
       cache_(config_.cache_capacity) {
   CS_REQUIRE(config_.workers >= 0, "service workers must be >= 0");
-  CS_REQUIRE(config_.retry_cap_factor >= 0,
-             "retry_cap_factor must be >= 0");
   pool_ = std::make_unique<util::ThreadPool>(
       static_cast<std::size_t>(workers_));
 }
@@ -51,11 +56,9 @@ SynthService::SynthService(ServiceConfig config)
 SynthService::~SynthService() = default;
 
 model::Fingerprint SynthService::request_fingerprint(
-    const ServiceRequest& request) {
-  CS_REQUIRE(request.spec != nullptr, "request needs a spec");
-  const model::Fingerprint spec_fp = model::fingerprint_spec(*request.spec);
+    const ServiceRequest& request, const model::SpecDigests& digests) {
   model::FingerprintHasher h;
-  h.mix_digest(spec_fp);
+  h.mix_digest(digests.combined);
   h.mix_string("cs-req-v1");
   h.mix_i64(static_cast<std::int64_t>(request.point.objective));
   h.mix_fixed(request.point.isolation);
@@ -71,14 +74,13 @@ model::Fingerprint SynthService::request_fingerprint(
 }
 
 model::Fingerprint SynthService::warm_fingerprint(
-    const ServiceRequest& request) {
-  CS_REQUIRE(request.spec != nullptr, "request needs a spec");
+    const ServiceRequest& request, const model::SpecDigests& digests) {
   model::FingerprintHasher h;
   // Shape digest, not the full spec digest: the encoding depends only on
   // topology + flows + UICs, so a thresholds/budget retune of a spec the
   // pool has seen still checks out a warm solver (the point carries the
   // query thresholds; spec.sliders never reach the formula).
-  h.mix_digest(model::fingerprint_sections(*request.spec).shape());
+  h.mix_digest(digests.shape());
   h.mix_string("cs-warm-v2");
   h.mix_i64(static_cast<std::int64_t>(request.synthesis.backend));
   h.mix_i64(request.synthesis.check_time_limit_ms);
@@ -163,9 +165,11 @@ void SynthService::submit(ServiceRequest request, Completion done) {
 
   const std::uint64_t request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  util::Stopwatch watch;  // request clock: starts at enqueue
+  // The request clock and its deadline both start at enqueue.
+  util::Stopwatch watch;
+  const util::Deadline deadline(request.deadline_ms);
   auto task = [this, done = std::move(done), request = std::move(request),
-               request_id, watch]() {
+               request_id, watch, deadline]() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --queued_;
@@ -185,7 +189,8 @@ void SynthService::submit(ServiceRequest request, Completion done) {
     }
     if (config_.on_start) config_.on_start(request);
     try {
-      done(execute(request, request_id, queue_ms, watch), nullptr);
+      done(execute(request, request_id, queue_ms, watch, deadline),
+           nullptr);
     } catch (...) {
       done(ServiceOutcome{}, std::current_exception());
     }
@@ -195,26 +200,23 @@ void SynthService::submit(ServiceRequest request, Completion done) {
 
 ServiceOutcome SynthService::execute(const ServiceRequest& request,
                                      std::uint64_t request_id,
-                                     double queue_ms,
-                                     util::Stopwatch watch) {
+                                     double queue_ms, util::Stopwatch watch,
+                                     util::Deadline deadline) {
+  CS_REQUIRE(request.spec != nullptr, "request needs a spec");
   const std::string rid = std::to_string(request_id);
-  ServiceOutcome out;
-  out.queue_ms = queue_ms;
-  out.fingerprint = request_fingerprint(request);
-  // Per-section sub-digests travel with every cache probe/insert so the
-  // cache can classify misses (partial hit = same encoding shape cached
-  // under other thresholds — the warm-resolve signature).
+  // The spec is hashed once: the cache key, the cache's miss
+  // classification (partial hit = same encoding shape cached under other
+  // thresholds — the warm-resolve signature) and the warm-pool key all
+  // derive from these digests.
   const model::SpecDigests digests =
       model::fingerprint_sections(*request.spec);
+  ServiceOutcome out;
+  out.queue_ms = queue_ms;
+  out.fingerprint = request_fingerprint(request, digests);
 
   const auto finish = [&]() -> ServiceOutcome& {
     out.total_ms = watch.elapsed_ms();
     return out;
-  };
-  const auto expired = [&]() {
-    return request.deadline_ms < 0 ||
-           (request.deadline_ms > 0 &&
-            watch.elapsed_ms() >= static_cast<double>(request.deadline_ms));
   };
   const auto cancelled = [&]() {
     return cancel_all_.load(std::memory_order_relaxed) ||
@@ -234,8 +236,7 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
     return finish();
   };
 
-  if (expired())
-    return skip(RejectReason::kDeadlineExpired);
+  if (deadline.expired()) return skip(RejectReason::kDeadlineExpired);
   if (cancelled()) return skip(RejectReason::kCancelled);
 
   // Single-flight loop: serve from cache, else wait for an identical
@@ -295,142 +296,59 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
   } release{this, out.fingerprint, publish};
 
   // Solve on a Synthesizer owned exclusively by this worker, exactly as
-  // a sweep grid point would be — warm from the pool when an encoded
-  // solver for this spec/backend/caps is parked, cold otherwise.
+  // a sweep grid point would be: warm on a checked-out encoded solver for
+  // this shape/backend/caps, cold on an empty slot (a miss, or the pool
+  // is off). The slot is checked back in afterwards either way.
   synth::SweepRequest sweep;
   sweep.synthesis = request.synthesis;
   sweep.optimize = request.optimize;
   sweep.min_cost = request.min_cost;
-  const auto remaining = [&]() -> std::int64_t {
-    if (request.deadline_ms <= 0) return 0;
-    const std::int64_t left =
-        request.deadline_ms -
-        static_cast<std::int64_t>(watch.elapsed_ms());
-    return left > 0 ? left : -1;
-  };
-  std::int64_t left = remaining();
-  if (request.deadline_ms != 0 && left < 0)
-    return skip(RejectReason::kDeadlineExpired);
+  std::int64_t left = deadline.remaining_ms();
+  if (left < 0) return skip(RejectReason::kDeadlineExpired);
 
-  // Sharded path: feasibility points solve through shard::ShardedSynthesizer
-  // when the service was configured for it. The sharded pipeline owns its
-  // own solvers (fresh per region) and re-validates against the point's
-  // thresholds, so it bypasses the warm pool entirely.
-  const bool shard_requested =
-      config_.shard_regions != 0 &&
-      request.point.objective == synth::SweepObjective::kFeasibility;
-  if (shard_requested) {
-    obs::Span span("service", "service/shard_solve");
-    span.arg("req", rid);
-    span.arg("backend", smt::backend_name(request.synthesis.backend));
-    util::Stopwatch shard_watch;
-    // The sharded synthesizer reads the spec's own sliders; materialize
-    // the point's thresholds into a spec copy when they differ.
-    std::shared_ptr<const model::ProblemSpec> spec = request.spec;
-    const model::Sliders want{request.point.isolation,
-                              request.point.usability, request.point.budget};
-    if (spec->sliders.isolation != want.isolation ||
-        spec->sliders.usability != want.usability ||
-        spec->sliders.budget != want.budget) {
-      auto copy = std::make_shared<model::ProblemSpec>(*spec);
-      copy->sliders = want;
-      spec = copy;
-    }
-    shard::ShardOptions shard_options;
-    shard_options.synthesis = request.synthesis;
-    shard_options.regions = config_.shard_regions < 0 ? 0
-                                                      : config_.shard_regions;
-    shard_options.jobs = 1;
-    shard::ShardedOutcome sharded =
-        shard::ShardedSynthesizer(*spec, shard_options).synthesize();
-    metrics_.counter("shard_solves").inc();
-    if (sharded.used_fallback) {
-      metrics_.counter("shard_fallbacks").inc();
-      span.arg("fallback", sharded.fallback_reason);
-    }
-    span.arg("regions", std::to_string(sharded.regions));
-    out.result.point = request.point;
-    out.result.status = sharded.status;
-    out.result.conflicting = std::move(sharded.conflicting);
-    out.result.search.feasible = sharded.status == smt::CheckResult::kSat;
-    out.result.search.exact = sharded.status != smt::CheckResult::kUnknown;
-    out.result.search.probes = sharded.regions + (sharded.used_fallback ? 1 : 0);
-    if (sharded.design.has_value()) {
-      out.result.search.metrics = synth::compute_metrics(*spec,
-                                                         *sharded.design);
-      out.result.search.design = std::move(sharded.design);
-    }
-    out.result.wall_seconds = shard_watch.elapsed_seconds();
-    metrics_.counter(std::string("probes_") +
-                     smt::backend_name(request.synthesis.backend))
-        .add(out.result.search.probes);
-    metrics_.histogram("solve_ms").observe(out.result.wall_seconds * 1000.0);
-    cache_.insert(out.fingerprint, out.result, &digests);
-    return finish();
-  }
-
-  const bool warm_eligible = config_.warm_pool_limit > 0;
-  model::Fingerprint warm_key;
+  const model::Fingerprint warm_key = warm_fingerprint(request, digests);
   WarmEntry entry;
-  if (warm_eligible) {
+  {
     obs::Span span("service", "service/warm_checkout");
     span.arg("req", rid);
-    warm_key = warm_fingerprint(request);
     entry = warm_checkout(warm_key);
     span.arg("hit", entry.synth != nullptr ? "1" : "0");
   }
+  if (config_.warm_pool_limit > 0)
+    metrics_.counter(entry.synth != nullptr ? "warm_hits" : "warm_misses")
+        .inc();
+  if (entry.synth == nullptr) entry.spec = request.spec;
   {
     obs::Span span("service", "service/solve");
     span.arg("req", rid);
     span.arg("backend", smt::backend_name(request.synthesis.backend));
     span.arg("warm", entry.synth != nullptr ? "1" : "0");
-    if (entry.synth != nullptr) {
-      metrics_.counter("warm_hits").inc();
-      out.result = synth::solve_sweep_point_on(*entry.synth, *entry.spec,
-                                               sweep, request.point, left,
-                                               /*charge_encode=*/false);
-    } else if (warm_eligible) {
-      metrics_.counter("warm_misses").inc();
-      util::Stopwatch encode_watch;
-      entry.spec = request.spec;
-      entry.synth = std::make_unique<synth::Synthesizer>(*request.spec,
-                                                         request.synthesis);
-      out.result = synth::solve_sweep_point_on(*entry.synth, *entry.spec,
-                                               sweep, request.point, left,
-                                               /*charge_encode=*/true);
-      // Like a cold sweep point, the first solve's wall clock includes the
-      // encode it paid for.
-      out.result.wall_seconds = encode_watch.elapsed_seconds();
-    } else {
-      out.result =
-          synth::solve_sweep_point(*request.spec, sweep, request.point, left);
-    }
+    out.result = synth::solve_sweep_point_on(entry.synth, *entry.spec, sweep,
+                                             request.point, left);
   }
-  if (entry.synth != nullptr) warm_checkin(warm_key, std::move(entry));
+  warm_checkin(warm_key, std::move(entry));
   record_solver_effort(out.result, request.synthesis.backend);
 
   // Retry policy: a conflict-capped probe that came back unknown gets
   // one more attempt with a raised cap before we report a mere bound.
   // The retry always solves cold: its raised cap no longer matches the
   // warm-pool key's caps.
+  left = deadline.remaining_ms();
   if (out.result.status == smt::CheckResult::kUnknown &&
-      request.synthesis.check_conflict_limit > 0 &&
-      config_.retry_cap_factor > 0 && !cancelled()) {
-    left = remaining();
-    if (request.deadline_ms == 0 || left > 0) {
-      metrics_.counter("retries").inc();
-      out.retries = 1;
-      sweep.synthesis.check_conflict_limit *= config_.retry_cap_factor;
-      obs::Span span("service", "service/retry");
-      span.arg("req", rid);
-      span.arg("conflict_limit",
-               std::to_string(sweep.synthesis.check_conflict_limit));
-      synth::SweepPointResult retried =
-          synth::solve_sweep_point(*request.spec, sweep, request.point, left);
-      record_solver_effort(retried, request.synthesis.backend);
-      retried.wall_seconds += out.result.wall_seconds;
-      out.result = std::move(retried);
-    }
+      request.synthesis.check_conflict_limit > 0 && !cancelled() &&
+      left >= 0) {
+    metrics_.counter("retries").inc();
+    out.retries = 1;
+    sweep.synthesis.check_conflict_limit *= kRetryCapFactor;
+    obs::Span span("service", "service/retry");
+    span.arg("req", rid);
+    span.arg("conflict_limit",
+             std::to_string(sweep.synthesis.check_conflict_limit));
+    synth::SweepPointResult retried =
+        synth::solve_sweep_point(*request.spec, sweep, request.point, left);
+    record_solver_effort(retried, request.synthesis.backend);
+    retried.wall_seconds += out.result.wall_seconds;
+    out.result = std::move(retried);
   }
 
   metrics_.histogram("solve_ms").observe(out.result.wall_seconds * 1000.0);

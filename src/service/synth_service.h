@@ -1,9 +1,10 @@
 // SynthService — an in-process synthesis request service.
 //
-// Sits above synth::Synthesizer / synth::solve_sweep_point and below the
-// CLIs: callers submit independent synthesis requests (a spec plus one
-// objective point) and get a future for the outcome. The service adds
-// what ad-hoc Synthesizer construction cannot:
+// Sits above synth::solve_sweep_point_on — the one point-solve path it
+// shares with the sweep engine — and below the CLIs: callers submit
+// independent synthesis requests (a spec plus one objective point) and
+// get a future for the outcome. The service adds what ad-hoc
+// Synthesizer construction cannot:
 //
 //   * result caching — requests are keyed by canonical spec fingerprint
 //     (model/fingerprint.h) mixed with the objective and solver options;
@@ -19,8 +20,8 @@
 //     deadlines and cancellation tokens are honored cooperatively, the
 //     same way SweepEngine handles them.
 //   * retry policy — a conflict-limit-capped probe that came back
-//     kUnknown is re-run once with the cap raised by
-//     `retry_cap_factor` before the lower bound is reported.
+//     kUnknown is re-run once, cold, with the cap raised ×4 before the
+//     lower bound is reported.
 //   * warm synthesizer pool — encoded solvers are kept after a solve,
 //     keyed by (spec *shape* digest, backend, caps). A
 //     repeat of the same encoding shape at *different* thresholds (a
@@ -29,9 +30,10 @@
 //     threshold assumptions (synth::Synthesizer::resolve), skipping the
 //     encode entirely.
 //     Checkout removes the entry from the pool, so a warm synthesizer is
-//     never shared between workers; the per-request caps are re-applied
-//     on every checkout (Synthesizer::set_check_budget). A retry at a
-//     raised cap bypasses the pool and solves cold.
+//     never shared between workers; solve_sweep_point_on re-applies the
+//     per-request caps on every solve. With the pool off (or on a miss)
+//     the checkout is an empty slot and the request solves cold; the
+//     retry at a raised cap always solves cold.
 //   * metrics — every request feeds the MetricsRegistry (request/hit/
 //     rejection counters, per-backend probe counts, warm-pool hits and
 //     misses, cumulative solver-effort counters, queue-wait and
@@ -131,22 +133,10 @@ struct ServiceConfig {
   std::size_t queue_limit = 64;
   /// ResultCache entries.
   std::size_t cache_capacity = 256;
-  /// Factor by which a conflict-limit-capped kUnknown probe's cap is
-  /// raised for its single retry; 0 disables the retry policy.
-  int retry_cap_factor = 4;
   /// Maximum encoded synthesizers kept across requests for warm re-solves
   /// (FIFO eviction across all keys); 0 disables the warm pool and every
   /// request solves cold.
   std::size_t warm_pool_limit = 8;
-  /// Sharded synthesis (src/shard) for kFeasibility points: 0 = off
-  /// (monolithic solves), -1 = on with the automatic region count,
-  /// >= 2 = on with that many regions. Verdicts are identical to the
-  /// monolithic path by construction (shard/sharded.h); each request's
-  /// region solves run serially on its own worker, so service-level
-  /// parallelism stays with the worker pool. Sharded solves bypass the
-  /// warm pool and are recorded in the `shard_solves` /
-  /// `shard_fallbacks` counters.
-  int shard_regions = 0;
   /// Observability hook: called on the worker thread when a request
   /// starts executing (after dequeue, before the cache lookup). Used by
   /// tests to control scheduling and by servers for request logging.
@@ -195,10 +185,11 @@ class SynthService {
     cancel_all_.store(true, std::memory_order_relaxed);
   }
 
-  /// Cache key of a request: canonical spec digest mixed with the
-  /// objective point and the result-affecting solver options.
+  /// Cache key of a request: the canonical spec digest
+  /// (`digests.combined`) mixed with the objective point and the
+  /// result-affecting solver options.
   static model::Fingerprint request_fingerprint(
-      const ServiceRequest& request);
+      const ServiceRequest& request, const model::SpecDigests& digests);
 
   /// Warm-pool key of a request: the spec's *shape* digest
   /// (model::SpecDigests::shape() — topology + flows + UICs, excluding
@@ -207,7 +198,8 @@ class SynthService {
   /// The point's thresholds and the spec's own sliders are deliberately
   /// absent: same-shape requests at different thresholds — including
   /// specs that differ only by a `retune` delta — share warm solvers.
-  static model::Fingerprint warm_fingerprint(const ServiceRequest& request);
+  static model::Fingerprint warm_fingerprint(
+      const ServiceRequest& request, const model::SpecDigests& digests);
 
   const ResultCache& cache() const { return cache_; }
   MetricsRegistry& metrics() { return metrics_; }
@@ -224,13 +216,16 @@ class SynthService {
     std::unique_ptr<synth::Synthesizer> synth;
   };
 
+  /// `watch` and `deadline` both started at enqueue.
   ServiceOutcome execute(const ServiceRequest& request,
                          std::uint64_t request_id, double queued_ms_at_start,
-                         util::Stopwatch watch);
-  /// Removes and returns a parked synthesizer for `key` (empty entry on
-  /// miss). Checkout transfers ownership, so entries are never shared.
+                         util::Stopwatch watch, util::Deadline deadline);
+  /// Removes and returns a parked synthesizer for `key` (empty entry on a
+  /// miss, and always with the pool off). Checkout transfers ownership,
+  /// so entries are never shared.
   WarmEntry warm_checkout(const model::Fingerprint& key);
-  /// Parks a synthesizer for reuse, evicting FIFO past the pool limit.
+  /// Parks a synthesizer for reuse, evicting FIFO past the pool limit
+  /// (drops it when the pool is off).
   void warm_checkin(const model::Fingerprint& key, WarmEntry entry);
   /// Feeds a solved point's probe count and solver-effort deltas into the
   /// metrics counters.

@@ -11,6 +11,13 @@ namespace cs::smt {
 
 namespace {
 
+/// Z3 takes its caps as `unsigned`: a larger cap saturates at UINT_MAX
+/// instead of wrapping (2^32 would run uncapped, 2^32 + 1 as a cap of 1).
+unsigned z3_cap(std::int64_t value) {
+  return static_cast<unsigned>(std::min<std::int64_t>(
+      value, std::numeric_limits<unsigned>::max()));
+}
+
 /// Normalizes to positive coefficients over literals: merges duplicate
 /// variables, flips negative coefficients (a·x = a − a·(¬x)), adjusts the
 /// bound. Mirrors minisolver::normalize_pb so both backends see the same
@@ -198,10 +205,8 @@ void Z3Backend::rebuild_solver() {
   for (const z3::expr& e : asserted_) solver_.add(e);
   if (time_limit_ms_ > 0 || conflict_limit_ > 0) {
     z3::params p(ctx_);
-    if (time_limit_ms_ > 0)
-      p.set("timeout", static_cast<unsigned>(time_limit_ms_));
-    if (conflict_limit_ > 0)
-      p.set("rlimit", static_cast<unsigned>(conflict_limit_));
+    if (time_limit_ms_ > 0) p.set("timeout", z3_cap(time_limit_ms_));
+    if (conflict_limit_ > 0) p.set("rlimit", z3_cap(conflict_limit_));
     solver_.set(p);
   }
   needs_rebuild_ = false;
@@ -210,7 +215,8 @@ void Z3Backend::rebuild_solver() {
 void Z3Backend::set_time_limit_ms(std::int64_t ms) {
   time_limit_ms_ = ms;
   z3::params p(ctx_);
-  p.set("timeout", ms <= 0 ? 4294967295u : static_cast<unsigned>(ms));
+  p.set("timeout", ms <= 0 ? std::numeric_limits<unsigned>::max()
+                           : z3_cap(ms));
   solver_.set(p);
 }
 
@@ -220,7 +226,7 @@ void Z3Backend::set_conflict_limit(std::int64_t limit) {
   // QF_FD core needs the same rebuild as after a timeout.
   conflict_limit_ = limit;
   z3::params p(ctx_);
-  p.set("rlimit", limit <= 0 ? 0u : static_cast<unsigned>(limit));
+  p.set("rlimit", limit <= 0 ? 0u : z3_cap(limit));
   solver_.set(p);
 }
 

@@ -50,7 +50,6 @@ std::vector<FrontierPoint> explore_frontier(
   request.synthesis = synth_options;
   request.optimize = options.optimize;
   request.jobs = options.jobs;
-  request.deadline_ms = options.deadline_ms;
 
   const SweepResult sweep = SweepEngine(spec).run(request);
   std::vector<FrontierPoint> points;

@@ -44,8 +44,6 @@ struct FrontierOptions {
   OptimizeOptions optimize;
   /// Worker count; 0 = one per hardware thread, 1 = serial.
   int jobs = 1;
-  /// Whole-sweep wall-clock cap in ms (0 = none); see SweepRequest.
-  std::int64_t deadline_ms = 0;
 
   /// Fig. 3(a)-style defaults: floors 0,2,...,10.
   static FrontierOptions fig3_defaults(util::Fixed low_budget,

@@ -13,9 +13,8 @@ namespace cs::synth {
 
 namespace {
 
-/// Objective dispatch shared by the cold and warm paths: runs the point on
-/// `synth` and fills everything except wall_seconds (the caller owns the
-/// watch, so cold points can include synthesizer construction).
+/// Objective dispatch: runs the point on `synth` and fills the verdict
+/// fields of `out` (solve_sweep_point_on measures time and effort).
 void run_point_objective(Synthesizer& synth, const model::ProblemSpec& spec,
                          const SweepRequest& request, const SweepPoint& point,
                          SweepPointResult& out) {
@@ -56,20 +55,24 @@ void run_point_objective(Synthesizer& synth, const model::ProblemSpec& spec,
 
 }  // namespace
 
-SweepPointResult solve_sweep_point_on(Synthesizer& synth,
+SweepPointResult solve_sweep_point_on(std::unique_ptr<Synthesizer>& slot,
                                       const model::ProblemSpec& spec,
                                       const SweepRequest& request,
                                       const SweepPoint& point,
-                                      std::int64_t remaining_ms,
-                                      bool charge_encode) {
+                                      std::int64_t remaining_ms) {
   SweepPointResult out;
   out.point = point;
-  out.warm = !charge_encode;
-  out.encode_seconds = charge_encode ? synth.encode_seconds() : 0;
-
-  synth.set_check_budget(remaining_ms > 0 ? remaining_ms : 0);
-  const smt::SolverStats before = synth.solver_statistics();
+  out.warm = slot != nullptr;
+  // A cold point's wall clock includes building the synthesizer (routes
+  // and encode), matching the paper's cold-solve timing definition.
   util::Stopwatch watch;
+  if (!out.warm) {
+    slot = std::make_unique<Synthesizer>(spec, request.synthesis);
+    out.encode_seconds = slot->encode_seconds();
+  }
+  Synthesizer& synth = *slot;
+  synth.set_check_budget(remaining_ms);
+  const smt::SolverStats before = synth.solver_statistics();
   run_point_objective(synth, spec, request, point, out);
   out.wall_seconds = watch.elapsed_seconds();
   out.solver = synth.solver_statistics() - before;
@@ -81,23 +84,8 @@ SweepPointResult solve_sweep_point(const model::ProblemSpec& spec,
                                    const SweepRequest& request,
                                    const SweepPoint& point,
                                    std::int64_t remaining_ms) {
-  SynthesisOptions options = request.synthesis;
-  if (remaining_ms > 0) {
-    options.check_time_limit_ms =
-        options.check_time_limit_ms > 0
-            ? std::min(options.check_time_limit_ms, remaining_ms)
-            : remaining_ms;
-  }
-
-  util::Stopwatch watch;
-  Synthesizer synth(spec, options);
-  SweepPointResult out =
-      solve_sweep_point_on(synth, spec, request, point, remaining_ms,
-                           /*charge_encode=*/true);
-  // The cold point's wall clock includes synthesizer construction (the
-  // encode), matching the paper's cold-solve timing definition.
-  out.wall_seconds = watch.elapsed_seconds();
-  return out;
+  std::unique_ptr<Synthesizer> fresh;
+  return solve_sweep_point_on(fresh, spec, request, point, remaining_ms);
 }
 
 std::string_view sweep_objective_name(SweepObjective objective) {
@@ -163,102 +151,52 @@ SweepResult SweepEngine::run(const SweepRequest& request) const {
   sweep_span.arg("warm", warm ? "1" : "0");
 
   util::Stopwatch sweep_watch;
-  // Remaining budget when a point starts; < 0 means "skip it". 0 from the
-  // caller means "no deadline" and stays 0 through the clamp in
-  // solve_sweep_point; a negative caller deadline is already expired, so
-  // every point skips (grid shape preserved).
-  const auto remaining_ms = [&]() -> std::int64_t {
-    if (request.deadline_ms == 0) return 0;
-    if (request.deadline_ms < 0) return -1;
-    const std::int64_t left =
-        request.deadline_ms -
-        static_cast<std::int64_t>(sweep_watch.elapsed_ms());
-    return left > 0 ? left : -1;
-  };
+  const util::Deadline deadline(request.deadline_ms);
   const auto cancelled = [&] {
     return request.cancel != nullptr &&
            request.cancel->load(std::memory_order_relaxed);
   };
-  const auto mark_skipped = [&](std::size_t index) {
-    result.points[index].point = request.points[index];
-    result.points[index].skipped = true;
-    result.points[index].search.exact = false;
-  };
 
-  // Cold worker task: claims one point on a fresh synthesizer. Results
-  // land in index-addressed slots, so completion order never leaks into
-  // the output.
-  const auto run_point = [&](std::size_t index) {
-    const std::int64_t left = remaining_ms();
-    if (left < 0 || cancelled()) {
-      mark_skipped(index);
-      return;
-    }
-    obs::Span span("sweep", "sweep/point");
-    span.arg("index", std::to_string(index));
-    span.arg("warm", "0");
-    span.arg("objective",
-             std::string(sweep_objective_name(request.points[index].objective)));
-    result.points[index] =
-        solve_sweep_point(spec_, request, request.points[index], left);
-  };
-
-  // Warm worker task: one synthesizer for a contiguous chunk, constructed
-  // at the chunk's first live point and reused (assumption swap only) for
-  // the rest. The partition is static, so a warm sweep at a fixed jobs
-  // value always solves the same instance sequence.
+  // Worker task: one synthesizer slot for a contiguous chunk, filled at
+  // the chunk's first live point and reused (assumption swap only) for
+  // the rest. A cold sweep is one-point chunks, so every point gets a
+  // fresh synthesizer. The partition is static and results land in
+  // index-addressed slots, so neither completion order nor the worker
+  // count leaks into the output beyond the warm chunk boundaries.
   const auto run_chunk = [&](std::size_t begin, std::size_t end) {
     std::unique_ptr<Synthesizer> synth;
     for (std::size_t i = begin; i < end; ++i) {
-      const std::int64_t left = remaining_ms();
+      const std::int64_t left = deadline.remaining_ms();
       if (left < 0 || cancelled()) {
-        mark_skipped(i);
+        result.points[i].point = request.points[i];
+        result.points[i].skipped = true;
+        result.points[i].search.exact = false;
         continue;
       }
-      util::Stopwatch watch;
-      const bool first_use = synth == nullptr;
       obs::Span span("sweep", "sweep/point");
       span.arg("index", std::to_string(i));
-      span.arg("warm", first_use ? "0" : "1");
+      span.arg("warm", synth != nullptr ? "1" : "0");
       span.arg("objective",
                std::string(sweep_objective_name(request.points[i].objective)));
-      if (first_use)
-        synth = std::make_unique<Synthesizer>(spec_, request.synthesis);
-      result.points[i] =
-          solve_sweep_point_on(*synth, spec_, request, request.points[i],
-                               left, /*charge_encode=*/first_use);
-      // First-use wall clock includes the (chunk-amortized) encode.
-      if (first_use) result.points[i].wall_seconds = watch.elapsed_seconds();
+      result.points[i] = solve_sweep_point_on(synth, spec_, request,
+                                              request.points[i], left);
     }
   };
 
   const std::size_t n = request.points.size();
   const std::size_t workers =
       std::min<std::size_t>(static_cast<std::size_t>(jobs), n);
-  if (warm) {
-    const std::size_t chunk = (n + workers - 1) / workers;
-    if (workers <= 1) {
-      run_chunk(0, n);
-    } else {
-      util::ThreadPool pool(workers);
-      std::vector<std::future<void>> pending;
-      for (std::size_t begin = 0; begin < n; begin += chunk)
-        pending.push_back(pool.submit([&run_chunk, begin, chunk, n] {
-          obs::set_thread_name("sweep-worker");
-          run_chunk(begin, std::min(begin + chunk, n));
-        }));
-      for (std::future<void>& f : pending) f.get();  // rethrows task errors
-    }
-  } else if (jobs <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) run_point(i);
+  const std::size_t chunk = warm ? (n + workers - 1) / workers : 1;
+  if (workers <= 1) {
+    for (std::size_t begin = 0; begin < n; begin += chunk)
+      run_chunk(begin, std::min(begin + chunk, n));
   } else {
     util::ThreadPool pool(workers);
     std::vector<std::future<void>> pending;
-    pending.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      pending.push_back(pool.submit([&run_point, i] {
+    for (std::size_t begin = 0; begin < n; begin += chunk)
+      pending.push_back(pool.submit([&run_chunk, begin, chunk, n] {
         obs::set_thread_name("sweep-worker");
-        run_point(i);
+        run_chunk(begin, std::min(begin + chunk, n));
       }));
     for (std::future<void>& f : pending) f.get();  // rethrows task errors
   }

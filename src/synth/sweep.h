@@ -53,6 +53,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "synth/optimizer.h"
@@ -181,29 +182,28 @@ struct SweepResult {
   bool deadline_expired = false;
 };
 
-/// Solves one grid point on a fresh Synthesizer owned by the calling
-/// thread — the worker-task body of SweepEngine::run, exposed so request
-/// servers (src/service) solve exactly what a sweep would. `remaining_ms`
-/// > 0 clamps the per-check wall cap to that budget; 0 leaves the
-/// request's own caps in force.
+/// Solves one grid point — the one point-solve path of the sweep engine
+/// and the request service (src/service). When `slot` is empty it builds
+/// a Synthesizer there from `request.synthesis` and charges this point
+/// the encode and the build's wall time (`warm == false`); otherwise it
+/// re-solves warm on the slot's synthesizer by swapping threshold
+/// assumptions (`warm == true`, `encode_seconds == 0`). Either way the
+/// per-check caps are applied once, the wall-clock cap clamped to
+/// `remaining_ms` when > 0. A filled slot must have been built for the
+/// same encoding shape, backend and caps as `request` — the service keys
+/// its warm pool on exactly that.
+SweepPointResult solve_sweep_point_on(std::unique_ptr<Synthesizer>& slot,
+                                      const model::ProblemSpec& spec,
+                                      const SweepRequest& request,
+                                      const SweepPoint& point,
+                                      std::int64_t remaining_ms = 0);
+
+/// solve_sweep_point_on with an empty slot: one cold point on a fresh
+/// Synthesizer owned by the calling thread.
 SweepPointResult solve_sweep_point(const model::ProblemSpec& spec,
                                    const SweepRequest& request,
                                    const SweepPoint& point,
                                    std::int64_t remaining_ms = 0);
-
-/// Solves one grid point on a caller-provided (possibly warm) Synthesizer:
-/// re-applies the per-check caps clamped to `remaining_ms`, then runs the
-/// point's objective. `charge_encode` controls whether the synthesizer's
-/// encode time is attributed to this point (true for its first use, false
-/// for warm re-solves). The synthesizer's options must match the request's
-/// backend/caps semantics — the service layer guarantees this by keying
-/// warm synthesizers on the spec fingerprint and backend.
-SweepPointResult solve_sweep_point_on(Synthesizer& synth,
-                                      const model::ProblemSpec& spec,
-                                      const SweepRequest& request,
-                                      const SweepPoint& point,
-                                      std::int64_t remaining_ms = 0,
-                                      bool charge_encode = true);
 
 /// Runs sweep grids against one read-only ProblemSpec. The spec must
 /// outlive the engine and must not be mutated while a sweep runs.

@@ -38,10 +38,7 @@ Synthesizer::Synthesizer(const model::ProblemSpec& spec,
                                            options_.retractable_sections);
   }
   encode_seconds_ = watch.elapsed_seconds();
-  if (options_.check_time_limit_ms > 0)
-    backend_->set_time_limit_ms(options_.check_time_limit_ms);
-  if (options_.check_conflict_limit > 0)
-    backend_->set_conflict_limit(options_.check_conflict_limit);
+  set_check_budget(0);
 }
 
 Synthesizer::Synthesizer(std::shared_ptr<const model::ProblemSpec> spec,
@@ -82,10 +79,7 @@ void Synthesizer::rebuild(std::shared_ptr<const model::ProblemSpec> next,
   guard_cache_.clear();
   guard_kind_.clear();
   encode_seconds_ = watch.elapsed_seconds();
-  if (options_.check_time_limit_ms > 0)
-    backend_->set_time_limit_ms(options_.check_time_limit_ms);
-  if (options_.check_conflict_limit > 0)
-    backend_->set_conflict_limit(options_.check_conflict_limit);
+  set_check_budget(0);
 }
 
 DeltaApplyReport Synthesizer::apply_delta(const model::SpecDelta& delta) {

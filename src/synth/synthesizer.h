@@ -108,10 +108,10 @@ class Synthesizer {
   /// encode cost to the first point only.
   SynthesisResult resolve(const model::Sliders& sliders);
 
-  /// Re-applies per-check caps on the backend, clamping the wall-clock cap
-  /// to `remaining_ms` when positive (0 keeps the constructor options'
-  /// caps). Warm sweep workers call this before every point so a shared
-  /// solver still honors each point's deadline budget.
+  /// Applies the options' per-check caps to the backend, clamping the
+  /// wall-clock cap to `remaining_ms` when positive (0 = no clamp). The
+  /// one place caps reach the backend: construction and every rebuild
+  /// call it with 0, and synth::solve_sweep_point_on before every point.
   void set_check_budget(std::int64_t remaining_ms);
 
   double encode_seconds() const { return encode_seconds_; }

@@ -557,17 +557,15 @@ TEST(SynthServiceMiniPb, CancellationTokenSkipsPendingRequests) {
 }
 
 TEST(SynthServiceMiniPb, RetryRaisesConflictCapOnce) {
-  // A 1-conflict cap makes the first probe expire; the retry (cap × a
-  // large factor) then decides the instance. The outcome must be the
-  // decided verdict, with exactly one retry counted.
-  ServiceConfig config;
-  config.retry_cap_factor = 100000;
-  SynthService service(config);
+  // The example needs 556 MiniPB conflicts: a 200-conflict cap makes the
+  // first probe expire, and the retry at 4 × 200 = 800 decides it. The
+  // outcome must be the decided verdict, with exactly one retry counted.
+  SynthService service{ServiceConfig{}};
   const auto spec = shared_example_spec();
   ServiceRequest req = feasibility_request(
       spec, BackendKind::kMiniPb, spec->sliders.isolation,
       spec->sliders.usability, spec->sliders.budget);
-  req.synthesis.check_conflict_limit = 1;
+  req.synthesis.check_conflict_limit = 200;
   const ServiceOutcome out = service.solve(req);
   EXPECT_EQ(out.retries, 1);
   EXPECT_EQ(service.metrics().counter_value("retries"), 1);

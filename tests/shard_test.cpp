@@ -9,9 +9,7 @@
 //   * ShardedSynthesizer — the verdict contract (sharded == monolithic
 //     on SAT and UNSAT inputs), stitched designs passing the global
 //     checker, byte-identical results at any --jobs value, trivial
-//     regions, and the fallback path;
-//   * SynthService with shard_regions set — the service-level shard
-//     branch returns the same verdict as a direct solve.
+//     regions, and the fallback path.
 //
 // Everything runs MiniPB with deterministic conflict caps so the suite
 // is reproducible on any machine. Labelled `parallel` in CMake: the
@@ -22,7 +20,6 @@
 #include <set>
 
 #include "analysis/checker.h"
-#include "service/synth_service.h"
 #include "shard/sharded.h"
 #include "spec_helpers.h"
 #include "topology/structured.h"
@@ -337,31 +334,6 @@ TEST(ShardedTest, RegionsWithoutFlowsAreTrivial) {
                           [](const RegionOutcome& r) { return r.trivial; }));
   ASSERT_TRUE(outcome.design.has_value());
   EXPECT_TRUE(analysis::check_design(spec, *outcome.design).ok());
-}
-
-// ---- SynthService shard branch ---------------------------------------------
-
-TEST(ShardedServiceTest, ShardedServiceMatchesDirectVerdict) {
-  const auto spec =
-      std::make_shared<const model::ProblemSpec>(make_campus_spec(24));
-  synth::Synthesizer mono(*spec, minipb_options());
-  const synth::SynthesisResult expected = mono.synthesize();
-
-  service::ServiceConfig config;
-  config.workers = 1;
-  config.shard_regions = 2;
-  service::SynthService service(config);
-  service::ServiceRequest req;
-  req.spec = spec;
-  req.point.objective = synth::SweepObjective::kFeasibility;
-  req.point.isolation = spec->sliders.isolation;
-  req.point.usability = spec->sliders.usability;
-  req.point.budget = spec->sliders.budget;
-  req.synthesis = minipb_options();
-  const service::ServiceOutcome outcome = service.solve(std::move(req));
-  EXPECT_EQ(outcome.result.status, expected.status);
-  EXPECT_EQ(outcome.result.search.feasible,
-            expected.status == CheckResult::kSat);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Backend-equivalence tests: the Z3 backend and the from-scratch MiniPB
 // backend must return the same verdict on every instance, and their models
-// must satisfy the emitted constraints.
+// must satisfy the emitted constraints. Plus Z3's 32-bit cap conversion.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "smt/ir.h"
+#include "spec_helpers.h"
+#include "synth/synthesizer.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -160,6 +162,17 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
                            return info.param == BackendKind::kZ3 ? "z3"
                                                                  : "minipb";
                          });
+
+TEST(Z3Caps, CapAboveThirtyTwoBitsSaturatesInsteadOfWrapping) {
+  // Z3 takes its caps as unsigned, so a cap above 2^32 must saturate: a
+  // wrapped 2^32 + 1 is an rlimit of 1, which leaves the example undecided.
+  const model::ProblemSpec spec = cs::testing::make_example_spec();
+  synth::SynthesisOptions options;
+  options.backend = BackendKind::kZ3;
+  options.check_conflict_limit = (std::int64_t{1} << 32) + 1;
+  synth::Synthesizer synthesizer(spec, options);
+  EXPECT_EQ(synthesizer.synthesize().status, CheckResult::kSat);
+}
 
 // Randomized cross-backend agreement.
 class CrossBackendTest : public ::testing::TestWithParam<int> {};

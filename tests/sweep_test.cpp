@@ -429,6 +429,43 @@ TEST_P(BackendSweepTest, WarmResolveReportsUnsatCore) {
   EXPECT_EQ(synth.resolves(), 1);
 }
 
+TEST(SweepEngineMiniPb, SolveIntoSlotBuildsOnceThenResolvesWarm) {
+  // The one point-solve path: an empty slot is filled and charged the
+  // encode; a filled slot re-solves warm and must agree with a cold
+  // solve of the same point.
+  const model::ProblemSpec spec = make_random_spec(7, 4, 3);
+  SweepRequest request;
+  request.synthesis.backend = BackendKind::kMiniPb;
+  request.synthesis.check_conflict_limit =
+      10 * effort_cap(BackendKind::kMiniPb);
+  request.optimize.resolution = util::Fixed::from_raw(500);
+  SweepPoint first;
+  first.usability = util::Fixed::from_int(0);
+  first.budget = util::Fixed::from_int(60);
+  SweepPoint second = first;
+  second.usability = util::Fixed::from_int(4);
+  second.budget = util::Fixed::from_int(20);
+
+  std::unique_ptr<Synthesizer> slot;
+  const SweepPointResult cold_first =
+      solve_sweep_point_on(slot, spec, request, first);
+  ASSERT_NE(slot, nullptr);
+  EXPECT_FALSE(cold_first.warm);
+  EXPECT_GT(cold_first.encode_seconds, 0.0);
+  const Synthesizer* built = slot.get();
+
+  const SweepPointResult warm =
+      solve_sweep_point_on(slot, spec, request, second);
+  EXPECT_EQ(slot.get(), built);  // re-solved in place, not rebuilt
+  EXPECT_TRUE(warm.warm);
+  EXPECT_EQ(warm.encode_seconds, 0.0);
+  const SweepPointResult cold = solve_sweep_point(spec, request, second);
+  ASSERT_TRUE(cold.search.exact);
+  ASSERT_TRUE(warm.search.exact);
+  EXPECT_EQ(warm.status, cold.status);
+  EXPECT_EQ(warm.search.bound, cold.search.bound);
+}
+
 TEST(SweepEngineMiniPb, WarmSweepAccumulatesSolverStats) {
   const model::ProblemSpec spec = make_example_spec();
   std::vector<model::Sliders> grid;

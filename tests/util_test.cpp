@@ -1,9 +1,11 @@
 // Unit tests for the utility substrate.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "util/csv.h"
 #include "util/error.h"
@@ -232,6 +234,26 @@ TEST(Timer, MeasuresElapsed) {
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(w.elapsed_seconds(), 0.0);
   EXPECT_GE(w.elapsed_ms(), 0.0);
+}
+
+TEST(Timer, DeadlineZeroIsNoneNegativeIsExpired) {
+  const Deadline none(0);
+  EXPECT_EQ(none.remaining_ms(), 0);
+  EXPECT_FALSE(none.expired());
+  const Deadline expired(-1);
+  EXPECT_EQ(expired.remaining_ms(), -1);
+  EXPECT_TRUE(expired.expired());
+}
+
+TEST(Timer, DeadlineCountsDownThenExpires) {
+  const Deadline deadline(50);
+  const std::int64_t first = deadline.remaining_ms();
+  EXPECT_GT(first, 0);
+  EXPECT_LE(first, 50);
+  EXPECT_FALSE(deadline.expired());
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(deadline.remaining_ms(), -1);
+  EXPECT_TRUE(deadline.expired());
 }
 
 TEST(Logging, LevelRoundTrip) {
