@@ -242,8 +242,14 @@ int run_file_mode(const std::string& requests_path,
           service.cancel_pending();
         }
       }
-      slot.response = net::RequestCodec::response_from_outcome(
-          slot.id, slot.point, fut.get());
+      // A solve that throws (e.g. a threshold whose constraint bound
+      // overflows) answers status=error, as the TCP front-end does.
+      try {
+        slot.response = net::RequestCodec::response_from_outcome(
+            slot.id, slot.point, fut.get());
+      } catch (const std::exception& e) {
+        slot.response = net::RequestCodec::error_response(slot.id, e.what());
+      }
       slot.ready = true;
     }
     if (slot.response.status == net::WireStatus::kError ||

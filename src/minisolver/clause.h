@@ -32,6 +32,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "minisolver/literal.h"
@@ -123,7 +124,7 @@ class ClauseAllocator {
     return size + (learnt ? 3u : 1u);
   }
 
-  ClauseRef alloc(const std::vector<Lit>& lits, bool learnt) {
+  ClauseRef alloc(std::span<const Lit> lits, bool learnt) {
     CS_ENSURE(lits.size() >= 2, "arena clause needs >= 2 literals");
     const auto size = static_cast<std::uint32_t>(lits.size());
     const auto ref = static_cast<ClauseRef>(mem_.size());

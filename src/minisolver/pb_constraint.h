@@ -22,6 +22,7 @@
 
 #include "minisolver/literal.h"
 #include "util/error.h"
+#include "util/fixed.h"
 
 namespace cs::minisolver {
 
@@ -31,7 +32,11 @@ struct PbTerm {
 };
 
 struct PbConstraint {
-  std::vector<PbTerm> terms;
+  /// The normalized terms, struct-of-arrays and in descending-coefficient
+  /// order: lits[i] carries coeffs[i]. Conflict analysis scans `lits`
+  /// alone, four bytes a term.
+  std::vector<Lit> lits;
+  std::vector<std::int64_t> coeffs;
   std::int64_t bound = 0;
 
   // --- solver working state --------------------------------------------
@@ -43,22 +48,30 @@ struct PbConstraint {
   /// Length of the watched prefix. Watches only grow during search;
   /// backtracking restores watch_sum, never shrinks the prefix.
   std::size_t num_watched = 0;
+  /// Number of the conflict whose analysis last expanded this constraint
+  /// as a reason (0 = never); Solver::analyze skips repeat expansions.
+  std::int64_t expanded_in_conflict = 0;
+
+  std::size_t size() const { return lits.size(); }
 
   /// True when satisfied by every assignment (bound ≤ 0 after
   /// normalization); such constraints are dropped by the solver.
   bool trivially_true() const { return bound <= 0; }
 
-  /// True when no assignment can satisfy it (Σ coeff < bound).
+  /// True when no assignment can satisfy it (Σ coeff < bound). Throws
+  /// util::Error when Σ coeff does not fit in 64 bits.
   bool trivially_false() const {
     std::int64_t total = 0;
-    for (const PbTerm& t : terms) total += t.coeff;
+    for (const std::int64_t c : coeffs)
+      total = util::checked_add_i64(total, c, "PB coefficient total");
     return total < bound;
   }
 };
 
 /// Normalizes in place: merges duplicate literals, cancels complementary
 /// pairs, flips negative coefficients, drops zero terms. Returns the
-/// normalized constraint.
+/// normalized constraint. Throws util::Error when a merged coefficient or
+/// the shifted bound does not fit in 64 bits.
 PbConstraint normalize_pb(std::vector<PbTerm> terms, std::int64_t bound);
 
 }  // namespace cs::minisolver

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 
 #include "util/error.h"
+#include "util/fixed.h"
 
 namespace cs::minisolver {
 
@@ -17,6 +17,8 @@ Var Solver::new_var() {
   phase_vote_.push_back(0);
   level_.push_back(0);
   trail_pos_.push_back(-1);
+  false_at_.push_back(kNotFalse);
+  false_at_.push_back(kNotFalse);
   reason_.push_back(Reason{});
   activity_.push_back(0.0);
   seen_.push_back(0);
@@ -37,6 +39,7 @@ void Solver::reserve_vars(std::size_t n) {
   phase_vote_.reserve(n);
   level_.reserve(n);
   trail_pos_.reserve(n);
+  false_at_.reserve(2 * n);
   reason_.reserve(n);
   activity_.reserve(n);
   seen_.reserve(n);
@@ -48,34 +51,37 @@ void Solver::reserve_vars(std::size_t n) {
   order_.reserve(n);
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::span<const Lit> lits) {
   CS_ENSURE(decision_level() == 0, "add_clause above level 0");
   if (!ok_) return false;
 
   // Simplify: sort, dedup, drop false lits, detect tautology/satisfied.
-  std::sort(lits.begin(), lits.end());
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-  std::vector<Lit> keep;
-  keep.reserve(lits.size());
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    const Lit l = lits[i];
+  // The kept literals are compacted in place at the front of the scratch.
+  std::vector<Lit>& tmp = clause_tmp_;
+  tmp.assign(lits.begin(), lits.end());
+  std::sort(tmp.begin(), tmp.end());
+  tmp.erase(std::unique(tmp.begin(), tmp.end()), tmp.end());
+  std::size_t keep = 0;
+  for (std::size_t i = 0; i < tmp.size(); ++i) {
+    const Lit l = tmp[i];
     CS_REQUIRE(l.valid() && static_cast<std::size_t>(l.var()) < num_vars(),
                "clause uses unknown variable");
-    if (i + 1 < lits.size() && lits[i + 1] == ~l) return true;  // tautology
-    if (value(l) == LBool::kTrue) return true;                  // satisfied
-    if (value(l) == LBool::kFalse) continue;                    // drop
-    keep.push_back(l);
+    if (i + 1 < tmp.size() && tmp[i + 1] == ~l) return true;  // tautology
+    if (value(l) == LBool::kTrue) return true;                // satisfied
+    if (value(l) == LBool::kFalse) continue;                  // drop
+    tmp[keep++] = l;
   }
-  if (keep.empty()) {
+  if (keep == 0) {
     ok_ = false;
     return false;
   }
-  if (keep.size() == 1) {
-    unchecked_enqueue(keep[0], Reason{});
+  if (keep == 1) {
+    unchecked_enqueue(tmp[0], Reason{});
     ok_ = propagate().is_none();
     return ok_;
   }
-  const ClauseRef cref = ca_.alloc(keep, /*learnt=*/false);
+  const ClauseRef cref =
+      ca_.alloc(std::span<const Lit>(tmp.data(), keep), /*learnt=*/false);
   clauses_.push_back(cref);
   attach_clause(cref);
   return true;
@@ -97,29 +103,35 @@ bool Solver::add_linear_ge(std::vector<PbTerm> terms, std::int64_t bound) {
     return false;
   }
   // A single-term constraint with a positive bound is just a unit clause.
-  if (pb.terms.size() == 1) {
-    return add_clause({pb.terms[0].lit});
-  }
+  if (pb.size() == 1) return add_clause({pb.lits[0]});
+  // Propagation compares watch sums against bound + max_coeff; with the
+  // coefficient total checked by trivially_false, this is the last sum
+  // that could leave 64 bits.
+  const std::int64_t threshold = util::checked_add_i64(
+      pb.bound, pb.max_coeff, "PB watch threshold");
 
   pbs_.push_back(std::move(pb));
   PbConstraint* stored = &pbs_.back();
-  pb_terms_total_ += stored->terms.size();
-  for (const PbTerm& t : stored->terms) {
-    // Seed the initial phase toward satisfying this constraint.
-    const auto v = static_cast<std::size_t>(t.lit.var());
-    phase_vote_[v] += t.lit.is_neg() ? -t.coeff : t.coeff;
+  pb_terms_total_ += stored->size();
+  for (std::size_t i = 0; i < stored->size(); ++i) {
+    // Seed the initial phase toward satisfying this constraint. A vote
+    // is a heuristic, not a bound, so it may saturate.
+    const Lit l = stored->lits[i];
+    const auto v = static_cast<std::size_t>(l.var());
+    phase_vote_[v] = util::sat_add_i64(
+        phase_vote_[v], l.is_neg() ? -stored->coeffs[i] : stored->coeffs[i]);
     polarity_[v] = phase_vote_[v] >= 0 ? 1 : 0;
   }
 
   // Build the initial watched prefix: watch descending-coefficient terms
   // until the non-false watched mass reaches bound + max_coeff (then no
   // falsification of an unwatched literal can matter).
-  const std::int64_t threshold = stored->bound + stored->max_coeff;
-  while (stored->num_watched < stored->terms.size() &&
+  while (stored->num_watched < stored->size() &&
          stored->watch_sum < threshold) {
-    const PbTerm& t = stored->terms[stored->num_watched++];
-    pb_watch_occs_[t.lit.index()].push_back({stored, t.coeff});
-    if (value(t.lit) != LBool::kFalse) stored->watch_sum += t.coeff;
+    const std::size_t i = stored->num_watched++;
+    const Lit l = stored->lits[i];
+    pb_watch_occs_[l.index()].push_back({stored, stored->coeffs[i]});
+    if (value(l) != LBool::kFalse) stored->watch_sum += stored->coeffs[i];
   }
   if (stored->watch_sum < threshold) {
     // Fully watched: watch_sum is Σ coeff over the non-false terms, so
@@ -129,10 +141,10 @@ bool Solver::add_linear_ge(std::vector<PbTerm> terms, std::int64_t bound) {
       return false;
     }
     const std::int64_t slack = stored->watch_sum - stored->bound;
-    for (const PbTerm& t : stored->terms) {
-      if (t.coeff <= slack) break;  // sorted by coefficient, descending
-      if (value(t.lit) == LBool::kUndef)
-        unchecked_enqueue(t.lit, Reason{kRefUndef, stored});
+    for (std::size_t i = 0; i < stored->size(); ++i) {
+      if (stored->coeffs[i] <= slack) break;  // descending coefficients
+      if (value(stored->lits[i]) == LBool::kUndef)
+        unchecked_enqueue(stored->lits[i], Reason{kRefUndef, stored});
     }
   }
   ok_ = propagate().is_none();
@@ -140,8 +152,10 @@ bool Solver::add_linear_ge(std::vector<PbTerm> terms, std::int64_t bound) {
 }
 
 bool Solver::add_linear_le(std::vector<PbTerm> terms, std::int64_t bound) {
-  for (PbTerm& t : terms) t.coeff = -t.coeff;
-  return add_linear_ge(std::move(terms), -bound);
+  for (PbTerm& t : terms)
+    t.coeff = util::checked_sub_i64(0, t.coeff, "PB coefficient");
+  return add_linear_ge(std::move(terms),
+                       util::checked_sub_i64(0, bound, "PB bound"));
 }
 
 void Solver::unchecked_enqueue(Lit p, Reason reason) {
@@ -151,6 +165,7 @@ void Solver::unchecked_enqueue(Lit p, Reason reason) {
   polarity_[v] = p.is_neg() ? 0 : 1;
   level_[v] = decision_level();
   trail_pos_[v] = static_cast<std::int32_t>(trail_.size());
+  false_at_[(~p).index()] = trail_pos_[v];
   reason_[v] = reason;
   trail_.push_back(p);
   // ~p just became false: drop it from every watched sum it is part of.
@@ -167,6 +182,7 @@ void Solver::cancel_until(int target_level) {
     const Lit p = trail_[static_cast<std::size_t>(i)];
     const auto v = static_cast<std::size_t>(p.var());
     assigns_[v] = LBool::kUndef;
+    false_at_[(~p).index()] = kNotFalse;
     reason_[v] = Reason{};
     // Watches registered while ~p was already false never contributed to
     // watch_sum; once ~p is unassigned every watched occurrence
@@ -256,22 +272,22 @@ Solver::Reason Solver::propagate() {
       // Grow the watched prefix until the invariant is restored or every
       // term is watched. Terms already false join the watch list without
       // contributing to watch_sum.
-      while (pb->num_watched < pb->terms.size() &&
-             pb->watch_sum < threshold) {
-        const PbTerm& t = pb->terms[pb->num_watched++];
-        pb_watch_occs_[t.lit.index()].push_back({pb, t.coeff});
+      while (pb->num_watched < pb->size() && pb->watch_sum < threshold) {
+        const std::size_t t = pb->num_watched++;
+        const Lit l = pb->lits[t];
+        pb_watch_occs_[l.index()].push_back({pb, pb->coeffs[t]});
         ++pb_watch_growth_;
-        if (value(t.lit) != LBool::kFalse) pb->watch_sum += t.coeff;
+        if (value(l) != LBool::kFalse) pb->watch_sum += pb->coeffs[t];
       }
       if (pb->watch_sum >= threshold) continue;
       // Fully watched: watch_sum == Σ coeff over non-false terms.
       if (pb->watch_sum < pb->bound) return Reason{kRefUndef, pb};
       const std::int64_t slack = pb->watch_sum - pb->bound;
-      for (const PbTerm& t : pb->terms) {
-        if (t.coeff <= slack) break;  // descending coefficients
-        if (value(t.lit) == LBool::kUndef) {
+      for (std::size_t t = 0; t < pb->size(); ++t) {
+        if (pb->coeffs[t] <= slack) break;  // descending coefficients
+        if (value(pb->lits[t]) == LBool::kUndef) {
           ++stats_.pb_propagations;
-          unchecked_enqueue(t.lit, Reason{kRefUndef, pb});
+          unchecked_enqueue(pb->lits[t], Reason{kRefUndef, pb});
         }
       }
     }
@@ -292,15 +308,10 @@ void Solver::reason_literals(const Reason& reason, Lit p,
     return;
   }
   CS_ENSURE(reason.pb != nullptr, "reason_literals on decision");
-  const std::int32_t p_pos =
-      p.valid() ? trail_pos_[static_cast<std::size_t>(p.var())]
-                : std::numeric_limits<std::int32_t>::max();
-  for (const PbTerm& t : reason.pb->terms) {
-    if (t.lit == p) continue;
-    if (value(t.lit) != LBool::kFalse) continue;
-    if (trail_pos_[static_cast<std::size_t>(t.lit.var())] < p_pos)
-      out.push_back(t.lit);
-  }
+  // p itself is true (false_at_ == kNotFalse), so the cutoff drops it.
+  const std::int32_t cutoff = reason_cutoff(p);
+  for (const Lit l : reason.pb->lits)
+    if (false_at_[l.index()] < cutoff) out.push_back(l);
 }
 
 void Solver::bump_var(Var v) {
@@ -380,7 +391,6 @@ int Solver::analyze(Reason conflict, std::vector<Lit>& learnt) {
 
   int counter = 0;
   Lit p = kUndefLit;
-  std::vector<Lit> reason_lits;
   auto index = static_cast<std::int32_t>(trail_.size()) - 1;
 
   do {
@@ -390,9 +400,23 @@ int Solver::analyze(Reason conflict, std::vector<Lit>& learnt) {
         bump_clause(c);
         on_learnt_used(c);
       }
+      reason_literals(conflict, p, reason_lits_);
+    } else {
+      CS_ENSURE(conflict.pb != nullptr, "analyze reached a decision");
+      if (conflict.pb->expanded_in_conflict != stats_.conflicts) {
+        conflict.pb->expanded_in_conflict = stats_.conflicts;
+        reason_literals(conflict, p, reason_lits_);
+      } else {
+        // The walk goes backwards, so a constraint met again in this
+        // conflict justifies an earlier trail literal: its literals are
+        // a subset of the first expansion's (false before an earlier
+        // cutoff). Each is still seen_ (the walk only clears marks at
+        // or above p) or sits at level 0, so the repeat would mark,
+        // bump and count nothing.
+        reason_lits_.clear();
+      }
     }
-    reason_literals(conflict, p, reason_lits);
-    for (const Lit q : reason_lits) {
+    for (const Lit q : reason_lits_) {
       const auto v = static_cast<std::size_t>(q.var());
       if (seen_[v] || level_[v] == 0) continue;
       seen_[v] = 1;
@@ -479,14 +503,10 @@ bool Solver::lit_redundant(Lit p0, std::uint32_t abstract_levels) {
         if (l != p && !step(l)) blocked = true;
       }
     } else if (!blocked) {
-      const std::int32_t p_pos =
-          trail_pos_[static_cast<std::size_t>(p.var())];
-      minimize_work_ -=
-          static_cast<std::int64_t>(r.pb->terms.size());
-      for (const PbTerm& t : r.pb->terms) {
-        if (t.lit == p || value(t.lit) != LBool::kFalse) continue;
-        if (trail_pos_[static_cast<std::size_t>(t.lit.var())] < p_pos &&
-            !step(t.lit)) {
+      const std::int32_t cutoff = reason_cutoff(p);
+      minimize_work_ -= static_cast<std::int64_t>(r.pb->size());
+      for (const Lit l : r.pb->lits) {
+        if (false_at_[l.index()] < cutoff && !step(l)) {
           blocked = true;
           break;
         }
@@ -532,7 +552,6 @@ void Solver::analyze_final(Lit failed_assumption) {
   if (decision_level() == 0) return;
 
   seen_[static_cast<std::size_t>(failed_assumption.var())] = 1;
-  std::vector<Lit> reason_lits;
   for (auto i = static_cast<std::int32_t>(trail_.size()) - 1;
        i >= trail_lim_[0]; --i) {
     const Lit p = trail_[static_cast<std::size_t>(i)];
@@ -543,8 +562,8 @@ void Solver::analyze_final(Lit failed_assumption) {
       // A decision inside the assumption prefix is an assumption literal.
       unsat_core_.push_back(p);
     } else {
-      reason_literals(r, p, reason_lits);
-      for (const Lit q : reason_lits)
+      reason_literals(r, p, reason_lits_);
+      for (const Lit q : reason_lits_)
         if (level_[static_cast<std::size_t>(q.var())] > 0)
           seen_[static_cast<std::size_t>(q.var())] = 1;
     }
@@ -729,9 +748,8 @@ void Solver::retighten_pb_watches() {
     const std::int64_t threshold = pb.bound + pb.max_coeff;
     std::size_t tight = 0;
     std::int64_t sum = 0;
-    while (tight < pb.terms.size() && sum < threshold) {
-      if (value(pb.terms[tight].lit) != LBool::kFalse)
-        sum += pb.terms[tight].coeff;
+    while (tight < pb.size() && sum < threshold) {
+      if (value(pb.lits[tight]) != LBool::kFalse) sum += pb.coeffs[tight];
       ++tight;
     }
     if (tight >= pb.num_watched) continue;
@@ -739,7 +757,7 @@ void Solver::retighten_pb_watches() {
     // duplicate variables, so each (constraint, literal) pair has
     // exactly one entry.
     for (std::size_t i = tight; i < pb.num_watched; ++i) {
-      auto& occ = pb_watch_occs_[pb.terms[i].lit.index()];
+      auto& occ = pb_watch_occs_[pb.lits[i].index()];
       for (std::size_t j = 0; j < occ.size(); ++j) {
         if (occ[j].first == &pb) {
           occ[j] = occ.back();
@@ -1031,11 +1049,10 @@ bool Solver::model_value(Var v) const {
 
 bool Solver::pb_bookkeeping_ok() const {
   for (const PbConstraint& pb : pbs_) {
-    if (pb.num_watched > pb.terms.size()) return false;
+    if (pb.num_watched > pb.size()) return false;
     std::int64_t expect = 0;
     for (std::size_t i = 0; i < pb.num_watched; ++i)
-      if (value(pb.terms[i].lit) != LBool::kFalse)
-        expect += pb.terms[i].coeff;
+      if (value(pb.lits[i]) != LBool::kFalse) expect += pb.coeffs[i];
     if (expect != pb.watch_sum) return false;
   }
   return true;
@@ -1054,7 +1071,8 @@ Solver::MemoryBreakdown Solver::memory_breakdown() const {
   mb.binary_watcher_bytes +=
       bin_watches_.capacity() * sizeof(std::vector<BinWatcher>);
   for (const PbConstraint& pb : pbs_)
-    mb.pb_bytes += sizeof(PbConstraint) + pb.terms.capacity() * sizeof(PbTerm);
+    mb.pb_bytes += sizeof(PbConstraint) + pb.lits.capacity() * sizeof(Lit) +
+                   pb.coeffs.capacity() * sizeof(std::int64_t);
   for (const auto& occ : pb_watch_occs_)
     mb.pb_occ_bytes +=
         occ.capacity() * sizeof(std::pair<PbConstraint*, std::int64_t>);
@@ -1066,10 +1084,16 @@ Solver::MemoryBreakdown Solver::memory_breakdown() const {
       phase_vote_.capacity() * sizeof(std::int64_t) +
       level_.capacity() * sizeof(int) +
       trail_pos_.capacity() * sizeof(std::int32_t) +
+      false_at_.capacity() * sizeof(std::int32_t) +
       reason_.capacity() * sizeof(Reason) +
       activity_.capacity() * sizeof(double) + seen_.capacity() +
       lbd_seen_.capacity() * sizeof(std::int64_t) +
       trail_.capacity() * sizeof(Lit);
+  mb.scratch_bytes =
+      (reason_lits_.capacity() + clause_tmp_.capacity() +
+       analyze_stack_.capacity() + minimize_toclear_.capacity() +
+       minimize_collected_.capacity()) *
+      sizeof(Lit);
   return mb;
 }
 

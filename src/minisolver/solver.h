@@ -31,7 +31,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
+#include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "minisolver/clause.h"
@@ -78,11 +81,12 @@ class Solver {
     std::size_t binary_watcher_bytes = 0;
     std::size_t pb_bytes = 0;
     std::size_t pb_occ_bytes = 0;
-    std::size_t var_bytes = 0;
+    std::size_t var_bytes = 0;      // per-variable and per-literal arrays
+    std::size_t scratch_bytes = 0;  // reused conflict-analysis buffers
 
     std::size_t total() const {
       return arena_capacity_bytes + watcher_bytes + binary_watcher_bytes +
-             pb_bytes + pb_occ_bytes + var_bytes;
+             pb_bytes + pb_occ_bytes + var_bytes + scratch_bytes;
     }
     /// Fraction of allocated arena words that are garbage.
     double wasted_fraction() const {
@@ -103,10 +107,18 @@ class Solver {
   void reserve_vars(std::size_t n);
 
   /// Adds a clause (≥1 literals). Returns false if the solver is already
-  /// in an unsatisfiable state after the addition.
-  bool add_clause(std::vector<Lit> lits);
+  /// in an unsatisfiable state after the addition. The literals are
+  /// copied into reused scratch, so adding a clause allocates nothing
+  /// beyond the clause's own arena words and watchers.
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
 
   /// Adds Σ terms ≥ bound. Coefficients may be negative (normalized away).
+  /// Throws util::Error when the normalized bound, the coefficient total
+  /// or the watch threshold (bound + largest coefficient) does not fit in
+  /// 64 bits — never wraps or clamps.
   bool add_linear_ge(std::vector<PbTerm> terms, std::int64_t bound);
 
   /// Adds Σ terms ≤ bound (encoded by negating coefficients).
@@ -210,6 +222,17 @@ class Solver {
   /// excluded). For PB reasons, only literals falsified before `p`.
   void reason_literals(const Reason& reason, Lit p,
                        std::vector<Lit>& out) const;
+
+  /// false_at_ value of a literal that is not assigned false.
+  static constexpr std::int32_t kNotFalse =
+      std::numeric_limits<std::int32_t>::max();
+  /// Trail position below which a PB reason's false literals justify
+  /// `p`: p's own position, or every position when p is undefined (the
+  /// constraint is the conflict itself).
+  std::int32_t reason_cutoff(Lit p) const {
+    return p.valid() ? trail_pos_[static_cast<std::size_t>(p.var())]
+                     : kNotFalse;
+  }
 
   Lit pick_branch_lit();
   void bump_var(Var v);
@@ -320,6 +343,13 @@ class Solver {
   std::vector<std::int64_t> phase_vote_;
   std::vector<int> level_;
   std::vector<std::int32_t> trail_pos_;
+  /// false_at_[lit.index()]: trail position at which `lit` became false,
+  /// kNotFalse while it is unassigned or true. Set by unchecked_enqueue,
+  /// reset by cancel_until. A PB reason's literal justifies `p` iff
+  /// false_at_[lit] < reason_cutoff(p) — one load per term, which is
+  /// what conflict analysis and minimization test for every term of
+  /// every PB reason they expand.
+  std::vector<std::int32_t> false_at_;
   std::vector<Reason> reason_;
   std::vector<Lit> trail_;
   std::vector<std::int32_t> trail_lim_;
@@ -384,6 +414,10 @@ class Solver {
   int rephase_kind_ = 0;
 
   std::vector<char> seen_;  // scratch for analyze
+  /// Reused scratch: the reason literals analyze/analyze_final expand,
+  /// and add_clause's sorted copy of the incoming literals.
+  std::vector<Lit> reason_lits_;
+  std::vector<Lit> clause_tmp_;
   /// DFS stack + mark log for lit_redundant (recursive minimization).
   std::vector<Lit> analyze_stack_;
   std::vector<Lit> minimize_toclear_;

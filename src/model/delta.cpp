@@ -439,8 +439,7 @@ DeltaOp parse_op(const std::string& text) {
                  "cs-delta-v1: retune knob without '=': " + tok[i]);
       const std::string knob = tok[i].substr(0, eq);
       const util::Fixed value =
-          util::Fixed::from_double(util::parse_double(tok[i].substr(eq + 1),
-                                                      knob));
+          util::parse_fixed(tok[i].substr(eq + 1), knob);
       // Canonical knob order (iso, usab, budget), each at most once.
       if (knob == "iso") {
         CS_REQUIRE(!op.isolation && !op.usability && !op.budget,

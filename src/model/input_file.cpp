@@ -39,15 +39,14 @@ class TokenReader {
                                std::to_string(line) + ")");
   }
 
-  double next_double(std::string_view what) {
+  util::Fixed next_fixed(std::string_view what) {
     CS_REQUIRE(pos_ < tokens_.size(),
                "unexpected end of input while reading " + std::string(what));
     const std::string& tok = tokens_[pos_];
     const int line = lines_[pos_];
     ++pos_;
-    return util::parse_double(tok,
-                              std::string(what) + " (line " +
-                                  std::to_string(line) + ")");
+    return util::parse_fixed(tok, std::string(what) + " (line " +
+                                      std::to_string(line) + ")");
   }
 
   bool exhausted() const { return pos_ >= tokens_.size(); }
@@ -118,9 +117,9 @@ ProblemSpec parse_input(std::istream& in) {
 
   // 4. Device costs.
   for (const DeviceType d : kAllDevices) {
-    const double cost = r.next_double("device cost");
-    CS_REQUIRE(cost >= 0, "device cost must be non-negative");
-    spec.device_costs.set(d, util::Fixed::from_double(cost));
+    const util::Fixed cost = r.next_fixed("device cost");
+    CS_REQUIRE(cost >= util::Fixed{}, "device cost must be non-negative");
+    spec.device_costs.set(d, cost);
   }
 
   // 5. Hosts and routers.
@@ -174,12 +173,9 @@ ProblemSpec parse_input(std::istream& in) {
   }
 
   // 8. Sliders.
-  spec.sliders.isolation =
-      util::Fixed::from_double(r.next_double("isolation slider"));
-  spec.sliders.usability =
-      util::Fixed::from_double(r.next_double("usability slider"));
-  spec.sliders.budget =
-      util::Fixed::from_double(r.next_double("budget slider"));
+  spec.sliders.isolation = r.next_fixed("isolation slider");
+  spec.sliders.usability = r.next_fixed("usability slider");
+  spec.sliders.budget = r.next_fixed("budget slider");
 
   CS_REQUIRE(r.exhausted(), "trailing tokens after the sliders section");
 

@@ -136,12 +136,9 @@ ParsedLine RequestCodec::parse_line(std::string_view line) {
   }
 
   req.point.objective = objective_from_name(tok[1]);
-  req.point.isolation =
-      util::Fixed::from_double(util::parse_double(tok[2], "isolation"));
-  req.point.usability =
-      util::Fixed::from_double(util::parse_double(tok[3], "usability"));
-  req.point.budget =
-      util::Fixed::from_double(util::parse_double(tok[4], "budget"));
+  req.point.isolation = util::parse_fixed(tok[2], "isolation");
+  req.point.usability = util::parse_fixed(tok[3], "usability");
+  req.point.budget = util::parse_fixed(tok[4], "budget");
 
   for (std::size_t i = 5; i < tok.size(); ++i) {
     const auto [key, value] = split_option(tok[i]);

@@ -13,8 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,8 +128,13 @@ class Backend {
 
   virtual std::size_t num_vars() const = 0;
 
-  /// Adds a disjunction of literals (must be non-empty).
-  virtual void add_clause(const std::vector<Lit>& lits) = 0;
+  /// Adds a disjunction of literals (must be non-empty). Encoders emit
+  /// millions of clauses, so the literals travel as a view: neither the
+  /// interface nor either backend allocates per clause.
+  virtual void add_clause(std::span<const Lit> lits) = 0;
+  void add_clause(std::initializer_list<Lit> lits) {
+    add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
 
   /// Adds Σ terms ≥ bound.
   virtual void add_linear_ge(const std::vector<Term>& terms,
@@ -187,7 +194,7 @@ class Backend {
 
   /// At most one of the literals is true (pairwise encoding; the pattern
   /// sets here are ≤5 wide, where pairwise is optimal).
-  void add_at_most_one(const std::vector<Lit>& lits) {
+  void add_at_most_one(std::span<const Lit> lits) {
     for (std::size_t i = 0; i < lits.size(); ++i)
       for (std::size_t j = i + 1; j < lits.size(); ++j)
         add_clause({!lits[i], !lits[j]});

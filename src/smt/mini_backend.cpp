@@ -4,6 +4,7 @@
 
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/fixed.h"
 
 namespace cs::smt {
 
@@ -53,19 +54,21 @@ std::vector<minisolver::PbTerm> to_mini_terms(const std::vector<Term>& terms) {
   return out;
 }
 
-/// Minimum possible value of Σ terms (negative coefficients contribute).
+/// Minimum possible value of Σ terms (negative coefficients contribute);
+/// throws util::Error when it does not fit in 64 bits.
 std::int64_t min_sum(const std::vector<Term>& terms) {
   std::int64_t s = 0;
   for (const Term& t : terms)
-    if (t.coeff < 0) s += t.coeff;
+    if (t.coeff < 0) s = util::checked_add_i64(s, t.coeff, "PB term total");
   return s;
 }
 
-/// Maximum possible value of Σ terms.
+/// Maximum possible value of Σ terms; throws util::Error when it does
+/// not fit in 64 bits.
 std::int64_t max_sum(const std::vector<Term>& terms) {
   std::int64_t s = 0;
   for (const Term& t : terms)
-    if (t.coeff > 0) s += t.coeff;
+    if (t.coeff > 0) s = util::checked_add_i64(s, t.coeff, "PB term total");
   return s;
 }
 
@@ -76,12 +79,11 @@ BoolVar MiniBackend::new_bool(const std::string& name) {
   return solver_.new_var();
 }
 
-void MiniBackend::add_clause(const std::vector<Lit>& lits) {
+void MiniBackend::add_clause(std::span<const Lit> lits) {
   CS_REQUIRE(!lits.empty(), "empty clause");
-  std::vector<minisolver::Lit> mini;
-  mini.reserve(lits.size());
-  for (const Lit l : lits) mini.push_back(to_mini(l));
-  solver_.add_clause(std::move(mini));
+  clause_buf_.clear();
+  for (const Lit l : lits) clause_buf_.push_back(to_mini(l));
+  solver_.add_clause(std::span<const minisolver::Lit>(clause_buf_));
 }
 
 void MiniBackend::add_linear_ge(const std::vector<Term>& terms,
@@ -99,7 +101,8 @@ void MiniBackend::add_guarded_linear_ge(Lit guard,
                                         std::int64_t bound) {
   // guard=false must satisfy the constraint vacuously: add ¬guard with a
   // coefficient that lifts the sum above the bound on its own.
-  const std::int64_t relax = bound - min_sum(terms);
+  const std::int64_t relax =
+      util::checked_sub_i64(bound, min_sum(terms), "guarded PB relaxation");
   if (relax <= 0) {
     // Constraint holds for every assignment; nothing to add.
     return;
@@ -112,7 +115,8 @@ void MiniBackend::add_guarded_linear_ge(Lit guard,
 void MiniBackend::add_guarded_linear_le(Lit guard,
                                         const std::vector<Term>& terms,
                                         std::int64_t bound) {
-  const std::int64_t relax = max_sum(terms) - bound;
+  const std::int64_t relax =
+      util::checked_sub_i64(max_sum(terms), bound, "guarded PB relaxation");
   if (relax <= 0) return;  // holds unconditionally
   std::vector<Term> relaxed = terms;
   relaxed.push_back(Term{!guard, -relax});

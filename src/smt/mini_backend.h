@@ -17,7 +17,8 @@ class MiniBackend final : public Backend {
   BoolVar new_bool(const std::string& name) override;
   std::size_t num_vars() const override { return solver_.num_vars(); }
 
-  void add_clause(const std::vector<Lit>& lits) override;
+  using Backend::add_clause;
+  void add_clause(std::span<const Lit> lits) override;
   void add_linear_ge(const std::vector<Term>& terms,
                      std::int64_t bound) override;
   void add_linear_le(const std::vector<Term>& terms,
@@ -54,6 +55,8 @@ class MiniBackend final : public Backend {
   }
 
   minisolver::Solver solver_;
+  /// Reused buffer for add_clause's literal translation.
+  std::vector<minisolver::Lit> clause_buf_;
 };
 
 }  // namespace cs::smt

@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/fixed.h"
 
 namespace cs::smt {
 
@@ -21,7 +22,8 @@ unsigned z3_cap(std::int64_t value) {
 /// Normalizes to positive coefficients over literals: merges duplicate
 /// variables, flips negative coefficients (a·x = a − a·(¬x)), adjusts the
 /// bound. Mirrors minisolver::normalize_pb so both backends see the same
-/// constraint.
+/// constraint — including its overflow-checked sums, which throw
+/// util::Error rather than wrap.
 struct NormalizedGe {
   std::vector<Term> terms;  // all coeff > 0
   std::int64_t bound = 0;
@@ -34,11 +36,12 @@ NormalizedGe normalize_ge(const std::vector<Term>& terms,
   for (const Term& t : terms) {
     CS_REQUIRE(t.lit.var != kNoVar, "linear term without variable");
     if (t.coeff == 0) continue;
+    std::int64_t& acc = signed_coeff[t.lit.var];
     if (t.lit.negated) {
-      signed_coeff[t.lit.var] -= t.coeff;
-      bound -= t.coeff;
+      acc = util::checked_sub_i64(acc, t.coeff, "PB coefficient");
+      bound = util::checked_sub_i64(bound, t.coeff, "PB bound");
     } else {
-      signed_coeff[t.lit.var] += t.coeff;
+      acc = util::checked_add_i64(acc, t.coeff, "PB coefficient");
     }
   }
   NormalizedGe out;
@@ -48,14 +51,23 @@ NormalizedGe normalize_ge(const std::vector<Term>& terms,
     if (coeff > 0) {
       out.terms.push_back(Term{pos(var), coeff});
     } else {
-      out.terms.push_back(Term{neg(var), -coeff});
-      bound += -coeff;
+      const std::int64_t a = util::checked_sub_i64(0, coeff, "PB coefficient");
+      out.terms.push_back(Term{neg(var), a});
+      bound = util::checked_add_i64(bound, a, "PB bound");
     }
   }
   out.bound = bound;
   std::sort(out.terms.begin(), out.terms.end(),
             [](const Term& a, const Term& b) { return a.lit.var < b.lit.var; });
   return out;
+}
+
+/// Σ t ≤ b  ≡  Σ (−t) ≥ −b, negated with overflow checks.
+std::vector<Term> negated_terms(const std::vector<Term>& terms) {
+  std::vector<Term> negated = terms;
+  for (Term& t : negated)
+    t.coeff = util::checked_sub_i64(0, t.coeff, "PB coefficient");
+  return negated;
 }
 
 }  // namespace
@@ -84,7 +96,7 @@ z3::expr Z3Backend::lit_expr(Lit l) const {
   return l.negated ? !v : v;
 }
 
-void Z3Backend::add_clause(const std::vector<Lit>& lits) {
+void Z3Backend::add_clause(std::span<const Lit> lits) {
   CS_REQUIRE(!lits.empty(), "empty clause");
   if (lits.size() == 1) {
     assert_expr(lit_expr(lits[0]));
@@ -100,7 +112,8 @@ z3::expr Z3Backend::linear_ge_expr(const std::vector<Term>& terms,
   const NormalizedGe n = normalize_ge(terms, bound);
   if (n.bound <= 0) return ctx_.bool_val(true);
   std::int64_t total = 0;
-  for (const Term& t : n.terms) total += t.coeff;
+  for (const Term& t : n.terms)
+    total = util::checked_add_i64(total, t.coeff, "PB coefficient total");
   if (total < n.bound) return ctx_.bool_val(false);
 
   // Z3's native PB atoms handle weighted Boolean sums far better than an
@@ -139,10 +152,8 @@ void Z3Backend::add_linear_ge(const std::vector<Term>& terms,
 
 void Z3Backend::add_linear_le(const std::vector<Term>& terms,
                               std::int64_t bound) {
-  // Σ t ≤ b  ≡  Σ (−t) ≥ −b.
-  std::vector<Term> negated = terms;
-  for (Term& t : negated) t.coeff = -t.coeff;
-  assert_expr(linear_ge_expr(negated, -bound));
+  assert_expr(linear_ge_expr(negated_terms(terms),
+                             util::checked_sub_i64(0, bound, "PB bound")));
 }
 
 void Z3Backend::add_guarded_linear_ge(Lit guard,
@@ -154,9 +165,10 @@ void Z3Backend::add_guarded_linear_ge(Lit guard,
 void Z3Backend::add_guarded_linear_le(Lit guard,
                                       const std::vector<Term>& terms,
                                       std::int64_t bound) {
-  std::vector<Term> negated = terms;
-  for (Term& t : negated) t.coeff = -t.coeff;
-  assert_expr(z3::implies(lit_expr(guard), linear_ge_expr(negated, -bound)));
+  assert_expr(z3::implies(
+      lit_expr(guard),
+      linear_ge_expr(negated_terms(terms),
+                     util::checked_sub_i64(0, bound, "PB bound"))));
 }
 
 void Z3Backend::assert_expr(const z3::expr& e) {

@@ -24,7 +24,8 @@ class Z3Backend final : public Backend {
   BoolVar new_bool(const std::string& name) override;
   std::size_t num_vars() const override { return vars_.size(); }
 
-  void add_clause(const std::vector<Lit>& lits) override;
+  using Backend::add_clause;
+  void add_clause(std::span<const Lit> lits) override;
   void add_linear_ge(const std::vector<Term>& terms,
                      std::int64_t bound) override;
   void add_linear_le(const std::vector<Term>& terms,

@@ -5,6 +5,7 @@
 
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/fixed.h"
 
 namespace cs::synth {
 
@@ -84,16 +85,21 @@ void Encoding::reemit_policy_sections() {
   add_host_requirements();
 }
 
-void Encoding::counted_clause(const std::vector<smt::Lit>& lits) {
+void Encoding::counted_clause(std::span<const smt::Lit> lits) {
   backend_.add_clause(lits);
   ++stats_.clauses;
 }
 
 void Encoding::counted_unit(smt::Lit l) { counted_clause({l}); }
 
-void Encoding::section_clause(std::vector<smt::Lit> lits) {
-  if (retractable_) lits.insert(lits.begin(), !section_guard_);
-  counted_clause(lits);
+void Encoding::section_clause(std::initializer_list<smt::Lit> lits) {
+  if (!retractable_) {
+    counted_clause(lits);
+    return;
+  }
+  section_buf_.assign(1, !section_guard_);
+  section_buf_.insert(section_buf_.end(), lits.begin(), lits.end());
+  counted_clause(section_buf_);
 }
 
 void Encoding::section_linear_ge(const std::vector<smt::Term>& terms,
@@ -164,24 +170,25 @@ void Encoding::create_host_pattern_vars() {
 
   hp_.assign(spec().network.node_count(), {});
   for (auto& row : hp_) row.fill(smt::kNoVar);
+  std::array<smt::Lit, model::kHostPatternCount> at_most;
   for (const topology::NodeId j : spec().network.hosts()) {
-    std::vector<smt::Lit> at_most;
+    std::size_t n = 0;
     for (const model::HostPattern t : hcfg.enabled()) {
       const auto ti = static_cast<std::size_t>(model::host_pattern_index(t));
       hp_[static_cast<std::size_t>(j)][ti] =
           backend_.new_bool("hp_n" + std::to_string(j) + "_t" +
                             std::to_string(model::host_pattern_index(t)));
       ++stats_.host_pattern_vars;
-      at_most.push_back(
-          smt::pos(hp_[static_cast<std::size_t>(j)][ti]));
+      at_most[n++] = smt::pos(hp_[static_cast<std::size_t>(j)][ti]);
     }
-    backend_.add_at_most_one(at_most);
-    stats_.clauses += at_most.size() * (at_most.size() - 1) / 2;
+    backend_.add_at_most_one(std::span<const smt::Lit>(at_most.data(), n));
+    stats_.clauses += n * (n - 1) / 2;
   }
 
   // z[f][t] ≡ hp[dst(f)][t] ∧ (no network pattern on f).
   z_.assign(spec().flows.size(), {});
   for (auto& row : z_) row.fill(smt::kNoVar);
+  std::vector<smt::Lit> back;  // reused across flows and patterns
   for (std::size_t f = 0; f < spec().flows.size(); ++f) {
     const model::Flow& flow =
         spec().flows.flow(static_cast<model::FlowId>(f));
@@ -195,7 +202,7 @@ void Encoding::create_host_pattern_vars() {
       const smt::BoolVar hp =
           hp_[static_cast<std::size_t>(flow.dst)][ti];
       counted_clause({smt::neg(z), smt::pos(hp)});
-      std::vector<smt::Lit> back{smt::pos(z), smt::neg(hp)};
+      back.assign({smt::pos(z), smt::neg(hp)});
       for (const model::IsolationPattern k : spec().isolation.enabled()) {
         const smt::BoolVar y =
             y_[f][static_cast<std::size_t>(model::pattern_index(k))];
@@ -209,14 +216,15 @@ void Encoding::create_host_pattern_vars() {
 
 void Encoding::add_pattern_constraints() {
   const auto& enabled = spec().isolation.enabled();
+  std::array<smt::Lit, model::kPatternCount> ys;
   for (std::size_t f = 0; f < spec().flows.size(); ++f) {
     // IIC1: at most one isolation pattern per flow.
-    std::vector<smt::Lit> ys;
+    std::size_t n = 0;
     for (const model::IsolationPattern k : enabled)
-      ys.push_back(smt::pos(
-          y_[f][static_cast<std::size_t>(model::pattern_index(k))]));
-    backend_.add_at_most_one(ys);
-    stats_.clauses += ys.size() * (ys.size() - 1) / 2;
+      ys[n++] = smt::pos(
+          y_[f][static_cast<std::size_t>(model::pattern_index(k))]);
+    backend_.add_at_most_one(std::span<const smt::Lit>(ys.data(), n));
+    stats_.clauses += n * (n - 1) / 2;
 
     // eq. 1: pattern selection requires its devices between the pair.
     const model::Flow& flow =
@@ -249,13 +257,14 @@ void Encoding::create_app_pattern_vars() {
 
   // Endpoint variables for (destination, service) pairs that carry flows,
   // restricted to applicable patterns; at most one pattern per endpoint.
+  std::array<smt::Lit, model::kAppPatternCount> at_most;
   for (const model::Flow& flow : spec().flows.all()) {
     const std::pair<topology::NodeId, model::ServiceId> key{flow.dst,
                                                             flow.service};
     if (ap_.contains(key)) continue;
     std::array<smt::BoolVar, model::kAppPatternCount> arr;
     arr.fill(smt::kNoVar);
-    std::vector<smt::Lit> at_most;
+    std::size_t n = 0;
     for (const model::AppPattern t : acfg.enabled()) {
       if (!acfg.applicable(t, flow.service)) continue;
       const auto ti = static_cast<std::size_t>(model::app_pattern_index(t));
@@ -263,11 +272,11 @@ void Encoding::create_app_pattern_vars() {
           "ap_n" + std::to_string(flow.dst) + "_g" +
           std::to_string(flow.service) + "_t" + std::to_string(ti));
       ++stats_.app_pattern_vars;
-      at_most.push_back(smt::pos(arr[ti]));
+      at_most[n++] = smt::pos(arr[ti]);
     }
-    if (at_most.size() > 1) {
-      backend_.add_at_most_one(at_most);
-      stats_.clauses += at_most.size() * (at_most.size() - 1) / 2;
+    if (n > 1) {
+      backend_.add_at_most_one(std::span<const smt::Lit>(at_most.data(), n));
+      stats_.clauses += n * (n - 1) / 2;
     }
     ap_.emplace(key, arr);
   }
@@ -275,6 +284,7 @@ void Encoding::create_app_pattern_vars() {
   // w[f][t] ⇔ ap[endpoint][t] ∧ no network pattern ∧ no host coverage.
   w_.assign(spec().flows.size(), {});
   for (auto& row : w_) row.fill(smt::kNoVar);
+  std::vector<smt::Lit> back;  // reused across flows and patterns
   for (std::size_t f = 0; f < spec().flows.size(); ++f) {
     const model::Flow& flow =
         spec().flows.flow(static_cast<model::FlowId>(f));
@@ -287,7 +297,7 @@ void Encoding::create_app_pattern_vars() {
       ++stats_.app_pattern_vars;
       w_[f][ti] = w;
       counted_clause({smt::neg(w), smt::pos(arr[ti])});
-      std::vector<smt::Lit> back{smt::pos(w), smt::neg(arr[ti])};
+      back.assign({smt::pos(w), smt::neg(arr[ti])});
       for (const model::IsolationPattern k : spec().isolation.enabled()) {
         const smt::BoolVar y =
             y_[f][static_cast<std::size_t>(model::pattern_index(k))];
@@ -311,9 +321,13 @@ void Encoding::create_score_ladders() {
   // Collect the candidate (score, selector) protections of each flow and
   // emit the order encoding described in encoder.h.
   ladder_.assign(spec().flows.size(), {});
+  // Reused across flows.
+  std::vector<std::pair<std::int64_t, smt::BoolVar>> candidates;
+  std::vector<std::int64_t> levels;
+  std::vector<smt::Lit> support;
   for (std::size_t f = 0; f < spec().flows.size(); ++f) {
     // Candidate selectors with their scores (y patterns, z host patterns).
-    std::vector<std::pair<std::int64_t, smt::BoolVar>> candidates;
+    candidates.clear();
     for (const model::IsolationPattern k : spec().isolation.enabled()) {
       candidates.emplace_back(
           spec().isolation.score(k).raw(),
@@ -336,7 +350,7 @@ void Encoding::create_score_ladders() {
     }
 
     // Ascending distinct positive levels.
-    std::vector<std::int64_t> levels;
+    levels.clear();
     for (const auto& [score, var] : candidates)
       if (score > 0) levels.push_back(score);
     std::sort(levels.begin(), levels.end());
@@ -354,7 +368,7 @@ void Encoding::create_score_ladders() {
 
     for (std::size_t j = 0; j < steps.size(); ++j) {
       // Support: u_j holds only if some protection of level >= ℓj is on.
-      std::vector<smt::Lit> support{smt::neg(steps[j].var)};
+      support.assign(1, smt::neg(steps[j].var));
       for (const auto& [score, var] : candidates) {
         if (score >= steps[j].level_raw)
           support.push_back(smt::pos(var));
@@ -379,6 +393,7 @@ void Encoding::add_placement_constraints() {
   const auto ipsec_idx =
       static_cast<std::size_t>(model::device_index(model::DeviceType::kIpsec));
 
+  std::vector<smt::Lit> clause;  // reused across pairs, devices, routes
   for (const auto& [key, xs] : x_) {
     const auto a = static_cast<topology::NodeId>(key >> 32);
     const auto b = static_cast<topology::NodeId>(key & 0xffffffffu);
@@ -403,25 +418,25 @@ void Encoding::add_placement_constraints() {
         }
         // Source-side gateway within the first T links and
         // destination-side gateway within the last T links of each route.
+        const auto t_max = static_cast<std::size_t>(margin);
         for (const topology::Route& r : route_set) {
-          std::vector<smt::Lit> head{smt::neg(x)};
-          std::vector<smt::Lit> tail{smt::neg(x)};
           const std::size_t len = r.length();
-          for (std::size_t t = 0; t < static_cast<std::size_t>(margin);
-               ++t) {
-            head.push_back(smt::pos(
+          clause.assign(1, smt::neg(x));
+          for (std::size_t t = 0; t < t_max; ++t)
+            clause.push_back(smt::pos(
                 l_[static_cast<std::size_t>(r.links[t])][ipsec_idx]));
-            tail.push_back(smt::pos(
+          counted_clause(clause);
+          clause.assign(1, smt::neg(x));
+          for (std::size_t t = 0; t < t_max; ++t)
+            clause.push_back(smt::pos(
                 l_[static_cast<std::size_t>(r.links[len - 1 - t])]
                   [ipsec_idx]));
-          }
-          counted_clause(head);
-          counted_clause(tail);
+          counted_clause(clause);
         }
       } else {
         // eq. 7: the device must sit on some link of every route.
         for (const topology::Route& r : route_set) {
-          std::vector<smt::Lit> clause{smt::neg(x)};
+          clause.assign(1, smt::neg(x));
           for (const topology::LinkId e : r.links)
             clause.push_back(
                 smt::pos(l_[static_cast<std::size_t>(e)][di]));
@@ -527,8 +542,11 @@ void Encoding::add_host_requirements() {
     }
     if (counted == 0) continue;  // isolated host: vacuously at maximum
 
-    section_linear_ge(terms,
-                      req.min_isolation.raw() * counted - constant);
+    section_linear_ge(
+        terms, util::checked_sub_i64(
+                   util::checked_mul_i64(req.min_isolation.raw(), counted,
+                                         "host isolation bound"),
+                   constant, "host isolation bound"));
   }
 }
 
@@ -648,21 +666,28 @@ std::string_view threshold_name(ThresholdKind kind) {
 }
 
 smt::Lit Encoding::isolation_guard(util::Fixed threshold) {
-  const smt::Lit guard = smt::pos(backend_.new_bool("g_iso"));
   // Σ iso_terms + iso_const ≥ threshold.raw × |Q|   (all in Fixed raw).
-  const std::int64_t bound = threshold.raw() * iso_pairs_ - iso_const_;
+  // Bounds are overflow-checked: a wrapped bound is another constraint.
+  const std::int64_t bound = util::checked_sub_i64(
+      util::checked_mul_i64(threshold.raw(), iso_pairs_, "isolation bound"),
+      iso_const_, "isolation bound");
+  const smt::Lit guard = smt::pos(backend_.new_bool("g_iso"));
   backend_.add_guarded_linear_ge(guard, iso_terms_, bound);
   ++stats_.linear_constraints;
   return guard;
 }
 
 smt::Lit Encoding::usability_guard(util::Fixed threshold) {
-  const smt::Lit guard = smt::pos(backend_.new_bool("g_usab"));
   // 10·(A − Σ penalties) ≥ Th·A  ⇔  Σ penalties ≤ A·(10 − Th)/10.
   // The left side is an integer, so flooring the right side is exact.
   const std::int64_t bound =
-      usab_total_rank_raw_ * (model::kSliderMax.raw() - threshold.raw()) /
+      util::checked_mul_i64(
+          usab_total_rank_raw_,
+          util::checked_sub_i64(model::kSliderMax.raw(), threshold.raw(),
+                                "usability bound"),
+          "usability bound") /
       model::kSliderMax.raw();
+  const smt::Lit guard = smt::pos(backend_.new_bool("g_usab"));
   backend_.add_guarded_linear_le(guard, usab_penalty_terms_, bound);
   ++stats_.linear_constraints;
   return guard;

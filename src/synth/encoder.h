@@ -29,7 +29,9 @@
 
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -144,11 +146,17 @@ class Encoding {
   void add_host_requirements();         // RMC: per-host minimum isolation
   void build_metric_terms();            // isolation & usability coefficients
 
-  void counted_clause(const std::vector<smt::Lit>& lits);
+  /// Clauses travel to the backend as views: fixed-width ones as
+  /// initializer lists, variable-width ones in a buffer the caller reuses
+  /// across items, so no clause costs a heap allocation.
+  void counted_clause(std::span<const smt::Lit> lits);
+  void counted_clause(std::initializer_list<smt::Lit> lits) {
+    counted_clause(std::span<const smt::Lit>(lits.begin(), lits.size()));
+  }
   void counted_unit(smt::Lit l);
   /// Like counted_clause/add_linear_ge, but guarded by the active
   /// section guard when sections are retractable.
-  void section_clause(std::vector<smt::Lit> lits);
+  void section_clause(std::initializer_list<smt::Lit> lits);
   void section_linear_ge(const std::vector<smt::Term>& terms,
                          std::int64_t bound);
 
@@ -163,6 +171,9 @@ class Encoding {
   bool retractable_ = false;
   smt::Lit section_guard_{};
   std::uint64_t section_round_ = 0;
+  /// section_clause's reused buffer: the guard's negation, then the
+  /// clause.
+  std::vector<smt::Lit> section_buf_;
 
   std::vector<std::array<smt::BoolVar, model::kPatternCount>> y_;
   std::unordered_map<std::uint64_t, DeviceArray> x_;

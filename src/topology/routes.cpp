@@ -1,7 +1,6 @@
 #include "topology/routes.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 
 namespace cs::topology {
@@ -18,51 +17,84 @@ namespace {
 /// True if `n` may appear strictly inside a path: routers only.
 bool interior_ok(const Network& net, NodeId n) { return net.is_router(n); }
 
-/// BFS shortest path with per-call banned nodes/links (for Yen's spur
-/// computation). Returns an empty route when dst is unreachable.
-Route bfs_route(const Network& net, NodeId src, NodeId dst,
-                const std::vector<char>& banned_node,
-                const std::vector<char>& banned_link) {
-  std::vector<NodeId> parent_node(net.node_count(), kInvalidNode);
-  std::vector<LinkId> parent_link(net.node_count(), kInvalidLink);
-  std::vector<char> seen(net.node_count(), 0);
-  std::deque<NodeId> queue;
-  queue.push_back(src);
-  seen[static_cast<std::size_t>(src)] = 1;
-  while (!queue.empty()) {
-    const NodeId n = queue.front();
-    queue.pop_front();
+/// BFS state for one pair's route search, sized once and reused by every
+/// spur search of that pair. Between searches `seen` and the banned
+/// arrays are all zero: each search clears exactly the entries it set.
+/// Parents are only read along a found path, below its source, where
+/// the same search wrote them, so they are never cleared.
+struct BfsScratch {
+  explicit BfsScratch(const Network& net)
+      : parent_node(net.node_count(), kInvalidNode),
+        parent_link(net.node_count(), kInvalidLink),
+        seen(net.node_count(), 0),
+        interior(net.node_count(), 0),
+        banned_node(net.node_count(), 0),
+        banned_link(net.link_count(), 0) {
+    queue.reserve(net.node_count());
+    for (std::size_t n = 0; n < interior.size(); ++n)
+      interior[n] = interior_ok(net, static_cast<NodeId>(n)) ? 1 : 0;
+  }
+
+  std::vector<NodeId> parent_node;
+  std::vector<LinkId> parent_link;
+  std::vector<char> seen;
+  /// interior[n]: n may appear strictly inside a path (routers only).
+  std::vector<char> interior;
+  /// FIFO by read cursor: a BFS enqueues each node at most once.
+  std::vector<NodeId> queue;
+  std::vector<char> banned_node;
+  std::vector<char> banned_link;
+};
+
+/// BFS shortest path from src to dst avoiding the scratch's banned nodes
+/// and links (Yen's spur computation). On success appends the path's
+/// nodes (src .. dst) and links to `out` and returns true.
+bool bfs_route(const Network& net, NodeId src, NodeId dst, BfsScratch& s,
+               Route& out) {
+  s.queue.clear();
+  s.queue.push_back(src);
+  s.seen[static_cast<std::size_t>(src)] = 1;
+  for (std::size_t head = 0; head < s.queue.size(); ++head) {
+    const NodeId n = s.queue[head];
     if (n == dst) break;
     for (const Adjacency& adj : net.neighbors(n)) {
-      if (banned_link[static_cast<std::size_t>(adj.link)]) continue;
-      if (banned_node[static_cast<std::size_t>(adj.peer)]) continue;
-      if (seen[static_cast<std::size_t>(adj.peer)]) continue;
-      if (adj.peer != dst && !interior_ok(net, adj.peer)) continue;
-      seen[static_cast<std::size_t>(adj.peer)] = 1;
-      parent_node[static_cast<std::size_t>(adj.peer)] = n;
-      parent_link[static_cast<std::size_t>(adj.peer)] = adj.link;
-      queue.push_back(adj.peer);
+      const auto peer = static_cast<std::size_t>(adj.peer);
+      if (s.banned_link[static_cast<std::size_t>(adj.link)]) continue;
+      if (s.banned_node[peer]) continue;
+      if (s.seen[peer]) continue;
+      if (adj.peer != dst && !s.interior[peer]) continue;
+      s.seen[peer] = 1;
+      s.parent_node[peer] = n;
+      s.parent_link[peer] = adj.link;
+      s.queue.push_back(adj.peer);
     }
   }
-  if (!seen[static_cast<std::size_t>(dst)]) return {};
-  Route r;
-  for (NodeId n = dst; n != kInvalidNode;
-       n = parent_node[static_cast<std::size_t>(n)]) {
-    r.nodes.push_back(n);
-    const LinkId l = parent_link[static_cast<std::size_t>(n)];
-    if (l != kInvalidLink) r.links.push_back(l);
+  const bool found = s.seen[static_cast<std::size_t>(dst)] != 0;
+  if (found) {
+    const std::size_t first_node = out.nodes.size();
+    const std::size_t first_link = out.links.size();
+    for (NodeId n = dst; n != src;
+         n = s.parent_node[static_cast<std::size_t>(n)]) {
+      out.nodes.push_back(n);
+      out.links.push_back(s.parent_link[static_cast<std::size_t>(n)]);
+    }
+    out.nodes.push_back(src);
+    std::reverse(out.nodes.begin() + static_cast<std::ptrdiff_t>(first_node),
+                 out.nodes.end());
+    std::reverse(out.links.begin() + static_cast<std::ptrdiff_t>(first_link),
+                 out.links.end());
   }
-  std::reverse(r.nodes.begin(), r.nodes.end());
-  std::reverse(r.links.begin(), r.links.end());
-  return r;
+  for (const NodeId n : s.queue) s.seen[static_cast<std::size_t>(n)] = 0;
+  return found;
 }
 
 }  // namespace
 
 Route shortest_route(const Network& net, NodeId src, NodeId dst) {
-  const std::vector<char> no_nodes(net.node_count(), 0);
-  const std::vector<char> no_links(net.link_count(), 0);
-  return bfs_route(net, src, dst, no_nodes, no_links);
+  BfsScratch scratch(net);
+  Route r;
+  bfs_route(net, src, dst, scratch, r);
+  return r;
 }
 
 std::vector<Route> k_shortest_routes(const Network& net, NodeId src,
@@ -72,10 +104,12 @@ std::vector<Route> k_shortest_routes(const Network& net, NodeId src,
   CS_REQUIRE(src != dst, "route endpoints must differ");
   const std::size_t k = std::max<std::size_t>(opts.max_routes, 1);
 
+  // One set of BFS buffers and banned arrays serves every spur search.
+  BfsScratch scratch(net);
   std::vector<Route> result;
-  const Route first = shortest_route(net, src, dst);
-  if (first.nodes.empty()) return result;
-  result.push_back(first);
+  Route first;
+  if (!bfs_route(net, src, dst, scratch, first)) return result;
+  result.push_back(std::move(first));
 
   // Candidate pool ordered by (length, path) so ties are deterministic.
   const auto cmp = [](const Route& a, const Route& b) {
@@ -90,8 +124,6 @@ std::vector<Route> k_shortest_routes(const Network& net, NodeId src,
     for (std::size_t spur_idx = 0; spur_idx + 1 < prev.nodes.size();
          ++spur_idx) {
       const NodeId spur_node = prev.nodes[spur_idx];
-      std::vector<char> banned_node(net.node_count(), 0);
-      std::vector<char> banned_link(net.link_count(), 0);
       // Ban links that would recreate an already-accepted route sharing
       // this root.
       for (const Route& r : result) {
@@ -100,16 +132,13 @@ std::vector<Route> k_shortest_routes(const Network& net, NodeId src,
                        prev.nodes.begin() +
                            static_cast<std::ptrdiff_t>(spur_idx + 1),
                        r.nodes.begin())) {
-          banned_link[static_cast<std::size_t>(r.links[spur_idx])] = 1;
+          scratch.banned_link[static_cast<std::size_t>(r.links[spur_idx])] =
+              1;
         }
       }
       // Ban the root path's interior nodes so the spur stays loop-free.
       for (std::size_t t = 0; t < spur_idx; ++t)
-        banned_node[static_cast<std::size_t>(prev.nodes[t])] = 1;
-
-      const Route spur = bfs_route(net, spur_node, dst, banned_node,
-                                   banned_link);
-      if (spur.nodes.empty()) continue;
+        scratch.banned_node[static_cast<std::size_t>(prev.nodes[t])] = 1;
 
       Route total;
       total.nodes.assign(prev.nodes.begin(),
@@ -118,10 +147,18 @@ std::vector<Route> k_shortest_routes(const Network& net, NodeId src,
       total.links.assign(prev.links.begin(),
                          prev.links.begin() +
                              static_cast<std::ptrdiff_t>(spur_idx));
-      total.nodes.insert(total.nodes.end(), spur.nodes.begin(),
-                         spur.nodes.end());
-      total.links.insert(total.links.end(), spur.links.begin(),
-                         spur.links.end());
+      const bool found = bfs_route(net, spur_node, dst, scratch, total);
+
+      // Lift this spur's bans. Every entry was zero before them, so
+      // clearing a superset of the banned links is exact.
+      for (const Route& r : result)
+        if (r.links.size() > spur_idx)
+          scratch.banned_link[static_cast<std::size_t>(r.links[spur_idx])] =
+              0;
+      for (std::size_t t = 0; t < spur_idx; ++t)
+        scratch.banned_node[static_cast<std::size_t>(prev.nodes[t])] = 0;
+
+      if (!found) continue;
       if (opts.max_hops != 0 && total.length() > opts.max_hops) continue;
       if (std::find(result.begin(), result.end(), total) == result.end())
         candidates.insert(std::move(total));

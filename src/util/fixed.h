@@ -23,6 +23,8 @@
 #include <ostream>
 #include <string>
 
+#include "util/error.h"
+
 namespace cs::util {
 
 /// a + b clamped to the int64 range instead of wrapping.
@@ -49,6 +51,38 @@ inline constexpr std::int64_t sat_mul_i64(std::int64_t a, std::int64_t b) {
   if (__builtin_mul_overflow(a, b, &out))
     return (a < 0) == (b < 0) ? std::numeric_limits<std::int64_t>::max()
                               : std::numeric_limits<std::int64_t>::min();
+  return out;
+}
+
+// Checked arithmetic for linear-constraint bounds and coefficient totals.
+// Unlike the saturating helpers above, these never clamp: a clamped PB
+// bound is a different constraint, and a wrong bound is a wrong verdict.
+// An overflow throws util::Error naming what was being formed.
+
+/// a + b; throws util::Error when the sum does not fit in int64.
+inline std::int64_t checked_add_i64(std::int64_t a, std::int64_t b,
+                                    const char* what) {
+  std::int64_t out = 0;
+  if (__builtin_add_overflow(a, b, &out))
+    throw Error(std::string(what) + " does not fit in 64-bit integers");
+  return out;
+}
+
+/// a - b; throws util::Error when the difference does not fit in int64.
+inline std::int64_t checked_sub_i64(std::int64_t a, std::int64_t b,
+                                    const char* what) {
+  std::int64_t out = 0;
+  if (__builtin_sub_overflow(a, b, &out))
+    throw Error(std::string(what) + " does not fit in 64-bit integers");
+  return out;
+}
+
+/// a * b; throws util::Error when the product does not fit in int64.
+inline std::int64_t checked_mul_i64(std::int64_t a, std::int64_t b,
+                                    const char* what) {
+  std::int64_t out = 0;
+  if (__builtin_mul_overflow(a, b, &out))
+    throw Error(std::string(what) + " does not fit in 64-bit integers");
   return out;
 }
 

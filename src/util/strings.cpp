@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 
 #include "util/error.h"
@@ -81,6 +82,19 @@ double parse_double(std::string_view text, std::string_view context) {
              std::string("expected number for ") + std::string(context) +
                  ", got '" + std::string(text) + "'");
   return value;
+}
+
+Fixed parse_fixed(std::string_view text, std::string_view context) {
+  const double value = parse_double(text, context);
+  // 2^63 is a double, so the range test on the rounded value is exact;
+  // it is false for nan, and the cast below is defined for what passes.
+  const double scaled = value * static_cast<double>(Fixed::kScale);
+  const double rounded = scaled < 0 ? scaled - 0.5 : scaled + 0.5;
+  CS_REQUIRE(std::isfinite(value) && rounded >= -0x1p63 && rounded < 0x1p63,
+             std::string(context) + " must be a finite number below 9.2e15 "
+                                    "in magnitude, got '" +
+                 std::string(text) + "'");
+  return Fixed::from_raw(static_cast<std::int64_t>(rounded));
 }
 
 void append_json_string(std::string& out, std::string_view s) {

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/fixed.h"
+
 namespace cs::util {
 
 /// Splits on a delimiter character; empty fields are kept.
@@ -28,6 +30,12 @@ long long parse_int(std::string_view text, std::string_view context);
 
 /// Parses a double; throws SpecError with context on failure.
 double parse_double(std::string_view text, std::string_view context);
+
+/// Parses a decimal number into fixed-point units, rounded as
+/// Fixed::from_double does. The one text → Fixed conversion: besides
+/// what parse_double rejects, it rejects inf, nan and values whose
+/// ×1000 does not fit in int64, with a SpecError naming `context`.
+Fixed parse_fixed(std::string_view text, std::string_view context);
 
 /// Appends `s` as a quoted JSON string (escaping control characters,
 /// quote and backslash).

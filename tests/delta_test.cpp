@@ -110,6 +110,9 @@ TEST(DeltaGrammar, RejectsNonCanonicalText) {
       "retune,alpha=0.5",           // unknown knob
       "retune,usab=3,iso=4",        // knobs out of canonical order
       "retune,iso=4,iso=5",         // duplicate knob
+      "retune,iso=inf",             // knobs must be finite ...
+      "retune,usab=nan",
+      "retune,budget=1e300",        // ... and fit the fixed-point range
       ";add-host,h,r1",             // empty op in the batch
   };
   for (const char* text : kBad)

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "minisolver/pb_constraint.h"
 #include "minisolver/solver.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace cs::minisolver {
@@ -49,9 +51,48 @@ TEST(NormalizePb, CancellingPairIsTrivial) {
 TEST(NormalizePb, SortsDescending) {
   const PbConstraint pb = normalize_pb(
       {{Lit::pos(0), 1}, {Lit::pos(1), 5}, {Lit::pos(2), 3}}, 2);
-  ASSERT_EQ(pb.terms.size(), 3u);
-  EXPECT_GE(pb.terms[0].coeff, pb.terms[1].coeff);
-  EXPECT_GE(pb.terms[1].coeff, pb.terms[2].coeff);
+  ASSERT_EQ(pb.size(), 3u);
+  ASSERT_EQ(pb.coeffs.size(), 3u);
+  EXPECT_GE(pb.coeffs[0], pb.coeffs[1]);
+  EXPECT_GE(pb.coeffs[1], pb.coeffs[2]);
+}
+
+TEST(NormalizePb, OverflowingSumsThrowInsteadOfWrapping) {
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 2 + 1;
+  // Three negated terms shift the bound by −3·big.
+  EXPECT_THROW(normalize_pb({{Lit::neg(0), big},
+                             {Lit::neg(1), big},
+                             {Lit::neg(2), big}},
+                            0),
+               util::Error);
+  // Merging duplicates of one literal sums past int64.
+  EXPECT_THROW(normalize_pb({{Lit::pos(0), big}, {Lit::pos(0), big}}, 1),
+               util::Error);
+  // The coefficient total (after capping at the bound) leaves int64.
+  const PbConstraint pb =
+      normalize_pb({{Lit::pos(0), big}, {Lit::pos(1), big}}, big);
+  EXPECT_THROW((void)pb.trivially_false(), util::Error);
+}
+
+TEST(Solver, OverflowingPbIsRejectedAndSolverStaysUsable) {
+  Solver s;
+  const Var a = s.new_var();
+  const Var b = s.new_var();
+  const Var c = s.new_var();
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 2 + 1;
+  EXPECT_THROW(s.add_linear_ge({{Lit::pos(a), big}, {Lit::pos(b), big}}, big),
+               util::Error);
+  // bound + max_coeff (the watch threshold) leaves int64.
+  EXPECT_THROW(s.add_linear_ge({{Lit::pos(a), big}, {Lit::pos(b), 1},
+                                {Lit::pos(c), 1}},
+                               big + 1),
+               util::Error);
+  EXPECT_THROW(s.add_linear_le({{Lit::pos(a), std::numeric_limits<std::int64_t>::min()}}, 0),
+               util::Error);
+  EXPECT_TRUE(s.ok());
+  s.add_clause({Lit::pos(a), Lit::pos(b)});
+  EXPECT_EQ(s.solve(), Result::kSat);
+  EXPECT_TRUE(s.pb_bookkeeping_ok());
 }
 
 TEST(Solver, TrivialSat) {
@@ -471,6 +512,36 @@ TEST(Solver, MemoryBreakdownIsConsistent) {
   EXPECT_LE(mb.wasted_fraction(), 1.0);
   EXPECT_GT(mb.arena_size_bytes, 0u);
   EXPECT_GT(mb.var_bytes, 0u);
+  EXPECT_GT(mb.scratch_bytes, 0u);  // analyze's reused buffers
+
+  // Every array is counted, exactly: with capacities reserved up front,
+  // var_bytes is the per-variable sum — including the per-literal
+  // false-since positions, two int32s a variable — and pb_bytes is the
+  // constraint plus its struct-of-arrays terms.
+  struct ReasonLayout {  // mirrors Solver::Reason
+    ClauseRef cref;
+    const PbConstraint* pb;
+  };
+  constexpr std::size_t kVars = 64;
+  const std::size_t per_var =
+      sizeof(LBool) + sizeof(char) /*polarity*/ +
+      sizeof(std::int64_t) /*phase vote*/ + sizeof(int) /*level*/ +
+      sizeof(std::int32_t) /*trail position*/ +
+      2 * sizeof(std::int32_t) /*false-since, per literal*/ +
+      sizeof(ReasonLayout) + sizeof(double) /*activity*/ +
+      sizeof(char) /*seen*/ + sizeof(std::int64_t) /*lbd stamp*/ +
+      sizeof(Lit) /*trail*/;
+  Solver t;
+  t.reserve_vars(kVars);
+  std::vector<PbTerm> terms;
+  for (std::size_t i = 0; i < kVars; ++i)
+    terms.push_back(PbTerm{Lit::pos(t.new_var()), 1});
+  ASSERT_TRUE(t.add_linear_ge(terms, 2));
+  const Solver::MemoryBreakdown tb = t.memory_breakdown();
+  EXPECT_EQ(tb.var_bytes, kVars * per_var);
+  EXPECT_EQ(tb.pb_bytes, sizeof(PbConstraint) +
+                             kVars * (sizeof(Lit) + sizeof(std::int64_t)));
+  EXPECT_EQ(tb.total(), t.memory_estimate_bytes());
 }
 
 TEST(Solver, ConflictLimitMidReduceEpochLeavesSolverReusable) {

@@ -337,6 +337,38 @@ TEST(InputFile, PaperTableIvExample) {
   EXPECT_EQ(spec.sliders.budget, Fixed::from_int(25));
 }
 
+TEST(InputFile, NumbersMustBeFiniteAndInRange) {
+  // Device costs and sliders become fixed-point values: inf, nan and
+  // values whose thousandths overflow int64 are errors naming the field
+  // (a plain `cost >= 0` check would let inf through).
+  const std::string head = "3\n1 2 3\n2\n1 2 2\n2 3 2\n";
+  const std::string net = "4 2\n5\n1 5\n2 5\n3 6\n4 6\n5 6\n3 0\n0\n0\n0\n";
+  const auto parse = [&](const std::string& costs, const std::string& sliders) {
+    std::istringstream in(head + costs + "\n" + net + sliders + "\n");
+    return parse_input(in);
+  };
+  EXPECT_NO_THROW(parse("5 10 8 6", "3 4 25"));
+  for (const std::string costs :
+       {"inf 10 8 6", "5 nan 8 6", "5 10 1e300 6", "5 10 8 -inf"}) {
+    try {
+      (void)parse(costs, "3 4 25");
+      ADD_FAILURE() << costs << " parsed";
+    } catch (const util::SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("device cost"), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const std::string sliders : {"inf 4 25", "3 nan 25", "3 4 1e17"}) {
+    try {
+      (void)parse("5 10 8 6", sliders);
+      ADD_FAILURE() << sliders << " parsed";
+    } catch (const util::SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("slider"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(InputFile, MalformedInputsThrow) {
   const auto parse = [](const std::string& text) {
     std::istringstream in(text);

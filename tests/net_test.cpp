@@ -195,6 +195,10 @@ TEST(RequestCodec, MalformedLinesThrowStructuredErrors) {
       "inline:!!! feasibility 3 4 60",
       "cs-req-v2 spec.cfg feasibility 3 4 60",  // future version
       "cs-resp-v1 id=1 status=sat",             // response on request side
+      // Thresholds must be finite and fit the fixed-point range.
+      "spec.cfg feasibility inf 4 60",
+      "spec.cfg feasibility 1e300 4 60",
+      "spec.cfg feasibility nan 4 60",
   };
   for (const std::string& line : bad)
     EXPECT_THROW(RequestCodec::parse_line(line), util::SpecError) << line;

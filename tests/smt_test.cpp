@@ -1,15 +1,27 @@
 // Backend-equivalence tests: the Z3 backend and the from-scratch MiniPB
 // backend must return the same verdict on every instance, and their models
-// must satisfy the emitted constraints. Plus Z3's 32-bit cap conversion.
+// must satisfy the emitted constraints. Plus Z3's 32-bit cap conversion,
+// overflow-checked PB bounds on both backends, and digests that pin
+// MiniPB's search on fixed encodings.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "model/input_file.h"
 #include "smt/ir.h"
+#include "smt/mini_backend.h"
 #include "spec_helpers.h"
+#include "synth/encoder.h"
 #include "synth/synthesizer.h"
+#include "topology/routes.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -155,6 +167,44 @@ TEST_P(BackendTest, MemoryReported) {
   EXPECT_GE(backend_->memory_bytes(), 0u);
 }
 
+TEST_P(BackendTest, CoefficientTotalOverflowIsAnErrorNotSat) {
+  // Device costs of 1e15 $K are 1e18 fixed-point units each, so the cost
+  // constraint's coefficient total over the example's links leaves 64
+  // bits. A wrapped sum turns the cost constraint into a different one
+  // (MiniPB then reports SAT at cost 9223372036854775.807 against a
+  // budget of 60), so both backends must refuse it instead.
+  model::ProblemSpec spec = testing::make_example_spec();
+  for (const model::DeviceType d : model::kAllDevices)
+    spec.device_costs.set(d, util::Fixed::from_int(1'000'000'000'000'000));
+  synth::SynthesisOptions options;
+  options.backend = GetParam();
+  options.check_conflict_limit = GetParam() == BackendKind::kZ3 ? 2000000 : 20000;
+  EXPECT_THROW(
+      {
+        synth::Synthesizer synth(spec, options);
+        (void)synth.synthesize();
+      },
+      util::Error);
+}
+
+TEST_P(BackendTest, OverflowingBoundsThrowBeforeTouchingTheSolver) {
+  Backend& b = *backend_;
+  const BoolVar x = b.new_bool("x");
+  const BoolVar y = b.new_bool("y");
+  const BoolVar z = b.new_bool("z");
+  const std::int64_t big = std::numeric_limits<std::int64_t>::max() / 2 + 1;
+  // Three negated literals shift the bound by −3·big while normalizing.
+  EXPECT_THROW(
+      b.add_linear_ge({{neg(x), big}, {neg(y), big}, {neg(z), big}}, 0),
+      util::Error);
+  // The guard relaxation (MiniPB) or the shifted bound (Z3) is 2·big.
+  EXPECT_THROW(b.add_guarded_linear_ge(pos(x), {{neg(y), -big}}, big),
+               util::Error);
+  // The backend is still usable and unconstrained.
+  b.add_unit(pos(x));
+  EXPECT_EQ(b.check(), CheckResult::kSat);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
                          ::testing::Values(BackendKind::kZ3,
                                            BackendKind::kMiniPb),
@@ -232,6 +282,149 @@ TEST_P(CrossBackendTest, VerdictsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CrossBackendTest, ::testing::Range(0, 40));
+
+// ---- MiniPB search pinning -------------------------------------------
+//
+// A solver optimisation that claims "same search, less work" must leave
+// every learnt clause and every counter exactly as it was. These cases
+// encode fixed specs through synth::Encoding on MiniPB, check them under
+// a 4000-conflict cap, and fold every learnt clause (after
+// minimization), the verdict and the final conflicts, propagations and
+// decisions into one FNV-1a digest. A changed digest means the search
+// itself changed; re-record the digests only in a change that means to
+// alter the search, and say so.
+
+/// Table IV text for the perfbench-style fabrics below: five patterns,
+/// the standard partial order and device costs, one service.
+std::string table_iv(int hosts, int routers,
+                     const std::vector<std::pair<int, int>>& links,
+                     const std::string& sliders) {
+  std::string out =
+      "5\n1 2 3 4 5\n4\n1 5 2\n5 2 2\n2 3 2\n3 4 1\n5 10 8 6\n";
+  out += std::to_string(hosts) + " " + std::to_string(routers) + "\n";
+  out += std::to_string(links.size()) + "\n";
+  for (const auto& [a, b] : links)
+    out += std::to_string(a) + " " + std::to_string(b) + "\n";
+  // Connectivity requirements on about a tenth of the ordered pairs.
+  for (int i = 1; i <= hosts; ++i) {
+    for (int j = 1; j <= hosts; ++j)
+      if (i != j && (7 * i + 3 * j) % 10 == 0)
+        out += std::to_string(j) + " ";
+    out += "0\n";
+  }
+  return out + sliders + "\n";
+}
+
+/// Two cores, three buildings of one distribution router (dual-homed to
+/// both cores) over two access routers; hosts attach in blocks.
+std::string campus_spec(int hosts, const std::string& sliders) {
+  const int routers = 2 + 3 * 3;
+  const int c1 = hosts + 1, c2 = hosts + 2;
+  std::vector<std::pair<int, int>> links{{c1, c2}};
+  std::vector<int> access;
+  for (int b = 0; b < 3; ++b) {
+    const int dist = hosts + 3 + 3 * b;
+    links.emplace_back(dist, c1);
+    links.emplace_back(dist, c2);
+    for (int a = 1; a <= 2; ++a) {
+      links.emplace_back(dist + a, dist);
+      access.push_back(dist + a);
+    }
+  }
+  const int n = static_cast<int>(access.size());
+  for (int h = 0; h < hosts; ++h)
+    links.emplace_back(h + 1,
+                       access[static_cast<std::size_t>((h * n / hosts + 1) %
+                                                       n)]);
+  return table_iv(hosts, routers, links, sliders);
+}
+
+/// A router tree plus chords (alternative routes), hosts single- or
+/// dual-homed; every choice is fixed arithmetic, not a seeded RNG.
+std::string mesh_spec(int hosts, const std::string& sliders) {
+  const int routers = hosts / 2;
+  const auto router = [&](int i) { return hosts + 1 + i; };
+  std::vector<std::pair<int, int>> links;
+  const auto link = [&](int a, int b) {
+    const std::pair<int, int> ab{std::min(a, b), std::max(a, b)};
+    if (a != b && std::find(links.begin(), links.end(), ab) == links.end())
+      links.push_back(ab);
+  };
+  for (int i = 1; i < routers; ++i) link(router(i), router((5 * i + 3) % i));
+  for (int e = 0; e < routers / 2; ++e)
+    link(router(e), router((3 * e + routers / 2 + 1) % routers));
+  for (int h = 1; h <= hosts; ++h) {
+    const int first = (3 * h) % routers;
+    link(h, router(first));
+    if (h % 6 == 0) link(h, router((first + 2) % routers));
+  }
+  return table_iv(hosts, routers, links, sliders);
+}
+
+struct PinnedCase {
+  const char* name;
+  std::string spec_text;  // empty = the paper's running example
+  std::uint64_t digest;
+};
+
+class MiniPbPinnedSearch : public ::testing::TestWithParam<int> {};
+
+TEST_P(MiniPbPinnedSearch, LearntClausesAndCountersMatchRecordedDigest) {
+  const std::vector<PinnedCase> cases = {
+      {"paper-example", "", 0x46dbea85f11b2f17ull},
+      {"campus-14-knee", campus_spec(14, "9 3 560"), 0x59a6f0ae7396fc96ull},
+      {"mesh-16-knee", mesh_spec(16, "8.5 3 640"), 0xe096b6c7614df431ull},
+  };
+  const PinnedCase& c = cases[static_cast<std::size_t>(GetParam())];
+  model::ProblemSpec spec;
+  if (c.spec_text.empty()) {
+    spec = testing::make_example_spec();
+  } else {
+    std::istringstream in(c.spec_text);
+    spec = model::parse_input(in);
+  }
+
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a offset basis
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  MiniBackend backend;
+  std::int64_t learnt = 0;
+  backend.solver_for_testing().set_learnt_hook(
+      [&](const std::vector<minisolver::Lit>& clause) {
+        ++learnt;
+        mix(clause.size());
+        for (const minisolver::Lit l : clause) mix(l.index());
+      });
+  topology::RouteTable routes(spec.network, spec.route_options);
+  synth::Encoding enc(spec, routes, backend);
+  const std::vector<Lit> guards = {
+      enc.isolation_guard(spec.sliders.isolation),
+      enc.usability_guard(spec.sliders.usability),
+      enc.cost_guard(spec.sliders.budget)};
+  backend.set_conflict_limit(4000);
+  const CheckResult result = backend.check(guards);
+  const SolverStats st = backend.statistics();
+  mix(static_cast<std::uint64_t>(result));
+  mix(static_cast<std::uint64_t>(st.conflicts));
+  mix(static_cast<std::uint64_t>(st.propagations));
+  mix(static_cast<std::uint64_t>(st.decisions));
+
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016llx",
+                static_cast<unsigned long long>(h));
+  EXPECT_GT(learnt, 0) << c.name;
+  EXPECT_EQ(h, c.digest) << c.name << ": digest " << hex << " after "
+                         << st.conflicts << " conflicts, "
+                         << st.propagations << " propagations, "
+                         << st.decisions << " decisions, result "
+                         << static_cast<int>(result);
+}
+
+INSTANTIATE_TEST_SUITE_P(Specs, MiniPbPinnedSearch, ::testing::Range(0, 3));
 
 }  // namespace
 }  // namespace cs::smt
