@@ -13,8 +13,8 @@
 // verdict (the apply_delta contract; any decided-vs-decided difference
 // is counted in verdict_mismatches and hard-fails the artifact check),
 // certifies the incremental design with analysis::check_design when
-// SAT, and — on the deterministic replay/full tiers — compares the
-// designs byte-for-byte. Steps where either side returns kUnknown are
+// SAT, and — on the deterministic full tier — compares the designs
+// byte-for-byte. Steps where either side returns kUnknown are
 // counted `capped` and excluded from certification: a cold reference
 // that burns its whole effort budget on a formula the warm solver's
 // learnt state decides is the asymmetry being measured, not a bug.
@@ -32,7 +32,7 @@
 //   --out <file>          JSON artifact path (BENCH_churn.json)
 //   --trace-out <file>    Chrome-trace-event timeline
 //
-// The artifact (schema cs-bench-churn-v1) is validated, and compared
+// The artifact (schema cs-bench-churn-v2) is validated, and compared
 // against bench/baselines/BENCH_churn.json, by scripts/check_bench.py.
 #include <algorithm>
 #include <cstdio>
@@ -56,13 +56,13 @@ using namespace cs;
 
 struct StepRecord {
   std::string op_class;  // "retune" | "uic" | "flow" | "link" | "host"
-  std::string path;      // "warm" | "retract" | "replay" | "full"
+  std::string path;      // "warm" | "retract" | "full"
   double inc_seconds = 0;
   double cold_seconds = 0;
   bool capped = false;  // either side kUnknown: effort cap, not a verdict
   bool verdict_mismatch = false;
   bool invalid_design = false;
-  bool design_compared = false;  // replay/full with both sides SAT
+  bool design_compared = false;  // full with both sides SAT
   bool design_matched = false;
 };
 
@@ -312,10 +312,9 @@ std::vector<StepRecord> run_stream(topology::TopologyKind kind, int hosts,
         std::fprintf(stderr, "INVALID DESIGN %d hosts step %d: %s\n", hosts,
                      s, check.to_string().c_str());
     }
-    // Replay/full rebuild deterministically, so the witness — not just
-    // the verdict — must match the cold one bit for bit.
-    if ((rec.path == "replay" || rec.path == "full") &&
-        report.result.design.has_value() &&
+    // Full rebuilds deterministically, so the witness — not just the
+    // verdict — must match the cold one bit for bit.
+    if (rec.path == "full" && report.result.design.has_value() &&
         cold_result.design.has_value()) {
       rec.design_compared = true;
       rec.design_matched = *report.result.design == *cold_result.design;
@@ -359,8 +358,7 @@ std::vector<bench::Row> aggregate(const std::string& topo, int hosts,
                     bench::number(
                         inc_median > 0 ? cold_median / inc_median : 0, 3),
                     capped, mismatches, invalid, comparisons, matches,
-                    tiers["warm"], tiers["retract"], tiers["replay"],
-                    tiers["full"]});
+                    tiers["warm"], tiers["retract"], tiers["full"]});
   }
   return runs;
 }
@@ -443,8 +441,8 @@ int main(int argc, char** argv) {
                  "inc_median_seconds", "cold_median_seconds",
                  "speedup_median", "capped", "verdict_mismatches",
                  "invalid_designs", "design_comparisons", "design_matches",
-                 "warm", "retract", "replay", "full"},
-                runs, "cs-bench-churn-v1", out_path);
+                 "warm", "retract", "full"},
+                runs, "cs-bench-churn-v2", out_path);
     if (failures > 0) {
       std::fprintf(stderr,
                    "error: %d verdict/design certification failure(s)\n",

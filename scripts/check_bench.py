@@ -5,14 +5,14 @@ committed baseline.
 Usage: check_bench.py <bench.json> [--baseline <baseline.json>]
 
 The artifact's "schema" field (cs-bench-solver-v3, cs-bench-load-v1,
-cs-bench-scale-v1 or cs-bench-churn-v1) picks one entry of the RULES
+cs-bench-scale-v1 or cs-bench-churn-v2) picks one entry of the RULES
 table, and one generic validator applies it to every run. Exit 2 (the
 emitter broke) unless "runs" is a non-empty array of objects whose
 string fields are non-empty, numeric fields non-negative, enum fields
 allowed, keys unique, rate identities within tolerance and invariants
 true. Churn's certification invariants are hard failures: the
 apply_delta contract (docs/DELTAS.md) promises cold-identical verdicts
-on decided checks, checker-valid designs and byte-identical replay/full
+on decided checks, checker-valid designs and byte-identical full-tier
 designs, so a violation means the program, not the machine, is broken.
 
 With --baseline, runs are matched by key, and exit 1 (advisory: machine
@@ -72,19 +72,19 @@ RULES = {
         "floors": (("hosts", "hosts_per_sec", 50),),
         "capped": "status == 'capped'",
     },
-    "cs-bench-churn-v1": {
+    "cs-bench-churn-v2": {
         "str": ("topology", "op_class"),
         "num": ("hosts", "steps", "inc_median_seconds",
                 "cold_median_seconds", "speedup_median", "capped",
                 "verdict_mismatches", "invalid_designs",
                 "design_comparisons", "design_matches", "warm", "retract",
-                "replay", "full"),
+                "full"),
         "enums": {"op_class": ("retune", "uic", "flow", "link", "host",
                                "all")},
         "key": ("topology", "hosts", "op_class"),
         "rates": (("speedup_median", "cold_median_seconds",
                    "inc_median_seconds", 0.01, 0.02),),
-        "gates": ("warm + retract + replay + full == steps",
+        "gates": ("warm + retract + full == steps",
                   "capped <= steps", "verdict_mismatches == 0",
                   "invalid_designs == 0",
                   "design_matches == design_comparisons"),

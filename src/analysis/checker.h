@@ -31,11 +31,13 @@ CheckReport check_design(const model::ProblemSpec& spec,
                          const synth::SecurityDesign& design,
                          bool check_thresholds = true);
 
-/// Same, but reuses an already-populated route table instead of
-/// re-enumerating routes — the route cost dominates checking at scale,
-/// so the incremental synthesizer certifies fast-path designs with the
-/// table it already owns. `routes` must be built over spec.network with
-/// spec.route_options.
+/// Same, but reads routes from `routes`, which must be built over
+/// spec.network with spec.route_options — the route cost dominates
+/// checking at scale, so a caller checking many designs on one spec
+/// shares one table. Certification of incremental designs (delta_test,
+/// bench_fig7_churn, perfbench's churn gate) deliberately uses the
+/// overload above: its freshly enumerated table is what makes it an
+/// oracle for the routes a rebuilt synthesizer carried across a delta.
 CheckReport check_design(const model::ProblemSpec& spec,
                          const synth::SecurityDesign& design,
                          topology::RouteTable& routes,

@@ -53,6 +53,7 @@ std::string render_report(const model::ProblemSpec& spec,
 std::size_t minimize_placements(const model::ProblemSpec& spec,
                                 synth::SecurityDesign& design) {
   std::size_t removed = 0;
+  topology::RouteTable routes(spec.network, spec.route_options);
   for (std::size_t e = 0; e < design.link_count(); ++e) {
     for (const model::DeviceType d : model::kAllDevices) {
       const auto link = static_cast<topology::LinkId>(e);
@@ -60,7 +61,8 @@ std::size_t minimize_placements(const model::ProblemSpec& spec,
       design.set_placed(link, d, false);
       // Threshold check excluded: removing devices only lowers cost; the
       // structural constraints are what could break.
-      if (check_design(spec, design, /*check_thresholds=*/false).ok()) {
+      if (check_design(spec, design, routes, /*check_thresholds=*/false)
+              .ok()) {
         ++removed;
       } else {
         design.set_placed(link, d, true);

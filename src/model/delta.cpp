@@ -17,20 +17,6 @@ using topology::NodeKind;
 
 constexpr NodeId kDropped = -1;
 
-std::vector<std::string> split(std::string_view text, char delim) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = text.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(text.substr(start));
-      return out;
-    }
-    out.emplace_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 /// Names travel as single tokens of the space-free grammar, so the
 /// delimiters (and whitespace, which would split the cs-req-v1 line)
 /// are forbidden inside them.
@@ -373,7 +359,7 @@ void render_op(std::string& out, const DeltaOp& op) {
 }
 
 DeltaOp parse_op(const std::string& text) {
-  const std::vector<std::string> tok = split(text, ',');
+  const std::vector<std::string> tok = util::split(text, ',');
   CS_REQUIRE(!tok[0].empty(), "cs-delta-v1: empty op");
   DeltaOp op;
   const auto arity = [&](std::size_t lo, std::size_t hi) {
@@ -527,7 +513,7 @@ std::string render_delta(const SpecDelta& delta) {
 SpecDelta parse_delta(std::string_view text) {
   CS_REQUIRE(!text.empty(), "cs-delta-v1: empty delta");
   SpecDelta delta;
-  for (const std::string& op_text : split(text, ';'))
+  for (const std::string& op_text : util::split(text, ';'))
     delta.ops.push_back(parse_op(op_text));
   return delta;
 }
@@ -539,15 +525,6 @@ ProblemSpec apply_delta(const ProblemSpec& spec, const SpecDelta& delta) {
   out.finalize();
   out.validate();
   return out;
-}
-
-bool route_preserving(const SpecDelta& delta) {
-  return std::none_of(delta.ops.begin(), delta.ops.end(),
-                      [](const DeltaOp& op) {
-                        return op.kind == DeltaOpKind::kFailLink ||
-                               op.kind == DeltaOpKind::kRestoreLink ||
-                               op.kind == DeltaOpKind::kRemoveHost;
-                      });
 }
 
 }  // namespace cs::model

@@ -111,14 +111,6 @@ SpecDelta parse_delta(std::string_view text);
 /// SpecError and `spec` is unchanged.
 ProblemSpec apply_delta(const ProblemSpec& spec, const SpecDelta& delta);
 
-/// True when no op changes the route universe of pre-existing node
-/// pairs: link failures/restores and host removals can reroute existing
-/// flows, so they are NOT route-preserving; host additions only create
-/// routes that terminate at the new leaf. The incremental synthesizer
-/// uses this to decide whether a cached route table can be transplanted
-/// (see Synthesizer::apply_delta).
-bool route_preserving(const SpecDelta& delta);
-
 /// Wire token for IsolationPattern in uic productions (`access-deny`,
 /// `trusted-comm`, `payload-inspection`, `proxy`, `proxy-trusted`).
 std::string_view pattern_token(IsolationPattern pattern);

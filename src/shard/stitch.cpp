@@ -234,7 +234,7 @@ StitchResult stitch_designs(
   }
 
   // 5. The authoritative global verdict.
-  out.report = analysis::check_design(spec, out.design, true);
+  out.report = analysis::check_design(spec, out.design, routes, true);
   out.ok = out.report.ok();
   if (!out.ok) out.failure = out.report.issues.front();
   return out;

@@ -44,22 +44,19 @@ Synthesizer::Synthesizer(const model::ProblemSpec& spec,
 Synthesizer::Synthesizer(std::shared_ptr<const model::ProblemSpec> spec,
                          SynthesisOptions options)
     : Synthesizer(*spec, options) {
-  spec_owner_ = std::move(spec);
+  spec_owner_ = routes_spec_ = std::move(spec);
 }
 
 void Synthesizer::adopt_spec(
     std::shared_ptr<const model::ProblemSpec> next) {
   encoding_->rebind_spec(*next);
-  if (spec_owner_) retired_specs_.push_back(std::move(spec_owner_));
   spec_owner_ = std::move(next);
   spec_ = spec_owner_.get();
 }
 
-void Synthesizer::rebuild(std::shared_ptr<const model::ProblemSpec> next,
-                          bool reuse_routes) {
+void Synthesizer::rebuild(std::shared_ptr<const model::ProblemSpec> next) {
   auto routes = std::make_unique<topology::RouteTable>(
-      next->network, next->route_options);
-  if (reuse_routes) routes->adopt_cache(*routes_);
+      next->network, next->route_options, *routes_);
   auto backend = smt::make_backend(options_.backend);
   util::Stopwatch watch;
   std::unique_ptr<Encoding> encoding;
@@ -68,13 +65,11 @@ void Synthesizer::rebuild(std::shared_ptr<const model::ProblemSpec> next,
     encoding = std::make_unique<Encoding>(*next, *routes, *backend,
                                           options_.retractable_sections);
   }
-  // Commit: everything referencing the old spec is gone, so the retired
-  // chain can be released.
+  // Commit: nothing references the old specs any more.
   encoding_ = std::move(encoding);
   backend_ = std::move(backend);
   routes_ = std::move(routes);
-  retired_specs_.clear();
-  spec_owner_ = std::move(next);
+  spec_owner_ = routes_spec_ = std::move(next);
   spec_ = spec_owner_.get();
   guard_cache_.clear();
   guard_kind_.clear();
@@ -111,23 +106,14 @@ DeltaApplyReport Synthesizer::apply_delta(const model::SpecDelta& delta) {
     encoding_->reemit_policy_sections();
     report.path = "retract";
     report.result = resolve(spec_->sliders);
-  } else if (model::route_preserving(delta)) {
-    // Flow or leaf-host changes reshape the formula, but every
-    // pre-existing pair keeps its route set: rebuild the encoding with
-    // the enumerated routes transplanted.
-    report.path = "replay";
+  } else {
+    // Anything else reshapes the formula: re-encode on a route table
+    // that carries only the pairs whose routes provably survive.
+    report.path = "full";
     report.fallback_reason = !topo_clean || !flows_clean
                                  ? "flows-or-topology-dirty"
                                  : "non-retractable-sections";
-    rebuild(std::move(next), /*reuse_routes=*/true);
-    report.result = synthesize();
-  } else {
-    // Link failures/restores and host removals can reroute arbitrary
-    // pairs; stale route sets would leave over- or under-strong eq. 7
-    // clauses, so nothing survives.
-    report.path = "full";
-    report.fallback_reason = "routes-invalidated";
-    rebuild(std::move(next), /*reuse_routes=*/false);
+    rebuild(std::move(next));
     report.result = synthesize();
   }
 
@@ -135,12 +121,11 @@ DeltaApplyReport Synthesizer::apply_delta(const model::SpecDelta& delta) {
       report.result.status == smt::CheckResult::kUnknown) {
     // A capped probe on the shared learnt state ran out of budget; a
     // cold solve may still decide it. Rebuild so the reported verdict
-    // is the cold verdict by construction.
+    // is the cold verdict by construction (both tiers adopted `next`,
+    // so spec_owner_ holds it).
     report.path = "full";
     report.fallback_reason = "capped-probe";
-    rebuild(spec_owner_ ? spec_owner_
-                        : std::make_shared<const model::ProblemSpec>(*spec_),
-            /*reuse_routes=*/true);
+    rebuild(spec_owner_);
     report.result = synthesize();
   }
   span.arg("path", report.path.c_str());

@@ -58,12 +58,10 @@ struct SynthesisResult {
 ///             re-encoding (the existing resolve() path).
 ///   "retract" UIC/RMC-only delta — retire the guarded policy sections,
 ///             re-emit from the new spec, warm re-solve.
-///   "replay"  flows or route-preserving topology changes — fresh
-///             encoding, but the enumerated route table is transplanted
-///             (routes dominate encode cost at scale).
-///   "full"    route-invalidating delta (link fail/restore, host
-///             removal) — cold rebuild, identical to a fresh
-///             Synthesizer on the post-delta spec.
+///   "full"    anything else — a fresh encoding on a route table that
+///             carries every pair whose routes the delta provably keeps
+///             (topology::RouteTable), identical to a fresh Synthesizer
+///             on the post-delta spec.
 ///
 /// Verdict contract (docs/DELTAS.md): on every tier the verdict equals
 /// a cold solve of the post-delta spec by construction when checks are
@@ -133,30 +131,27 @@ class Synthesizer {
   /// Applies `delta` to the current spec (transactionally — a SpecError
   /// leaves the synthesizer untouched) and re-synthesizes on the
   /// cheapest sound tier, classified by which cs-spec-v1 sub-digests
-  /// moved (model/fingerprint.h) plus route-preservation analysis of
-  /// the ops. See DeltaApplyReport for the tier and verdict contract.
+  /// moved (model/fingerprint.h). See DeltaApplyReport for the tier and
+  /// verdict contract.
   DeltaApplyReport apply_delta(const model::SpecDelta& delta);
 
  private:
   smt::Lit guard_for(ThresholdKind kind, util::Fixed value);
 
-  /// Swaps in `next` without touching the encoding (same shape); the
-  /// old spec stays owned because routes_ references its network.
+  /// Swaps in `next` without touching the encoding (same shape).
   void adopt_spec(std::shared_ptr<const model::ProblemSpec> next);
 
-  /// Cold rebuild against `next`; when `reuse_routes`, the new route
-  /// table adopts the already-enumerated pairs (sound only for
-  /// route-preserving deltas).
-  void rebuild(std::shared_ptr<const model::ProblemSpec> next,
-               bool reuse_routes);
+  /// Cold rebuild against `next`, on a route table carried from routes_.
+  void rebuild(std::shared_ptr<const model::ProblemSpec> next);
 
   const model::ProblemSpec* spec_;
   /// Owner of spec_ when constructed from (or churned onto) a shared
   /// spec; null for the borrowed-reference constructor.
   std::shared_ptr<const model::ProblemSpec> spec_owner_;
-  /// Pre-delta specs still referenced by routes_/encoding internals
-  /// (cleared on every rebuild, which re-seats those references).
-  std::vector<std::shared_ptr<const model::ProblemSpec>> retired_specs_;
+  /// Owner of the spec whose network routes_ reads: adopt_spec re-seats
+  /// the encoding but not the route table, so that one spec outlives
+  /// its successors until the next rebuild.
+  std::shared_ptr<const model::ProblemSpec> routes_spec_;
   SynthesisOptions options_;
   std::unique_ptr<topology::RouteTable> routes_;
   std::unique_ptr<smt::Backend> backend_;

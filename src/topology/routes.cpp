@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 
 namespace cs::topology {
 
@@ -13,6 +14,12 @@ Route Route::reversed() const {
 }
 
 namespace {
+
+/// Cache key of the ordered pair (a, b).
+std::uint64_t pair_key(NodeId a, NodeId b) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
+         static_cast<std::uint32_t>(b);
+}
 
 /// True if `n` may appear strictly inside a path: routers only.
 bool interior_ok(const Network& net, NodeId n) { return net.is_router(n); }
@@ -89,13 +96,6 @@ bool bfs_route(const Network& net, NodeId src, NodeId dst, BfsScratch& s,
 }
 
 }  // namespace
-
-Route shortest_route(const Network& net, NodeId src, NodeId dst) {
-  BfsScratch scratch(net);
-  Route r;
-  bfs_route(net, src, dst, scratch, r);
-  return r;
-}
 
 std::vector<Route> k_shortest_routes(const Network& net, NodeId src,
                                      NodeId dst, const RouteOptions& opts) {
@@ -231,12 +231,60 @@ std::vector<Route> all_simple_routes(const Network& net, NodeId src,
 RouteTable::RouteTable(const Network& net, RouteOptions opts)
     : net_(net), opts_(opts) {}
 
+RouteTable::RouteTable(const Network& net, RouteOptions opts,
+                       const RouteTable& prev)
+    : RouteTable(net, opts) {
+  const Network& old = prev.net_;
+  if (opts != prev.opts_ || old.router_count() != net.router_count())
+    return;
+  const auto ix = [](auto id) { return static_cast<std::size_t>(id); };
+  // Old id -> new id of the node with the same name and kind, strictly
+  // increasing. A host without one was added or removed and is set
+  // aside; a router without one, or a repeated name, carries nothing.
+  std::unordered_map<std::string_view, NodeId> by_name;
+  for (const Node& n : net.nodes())
+    if (!by_name.emplace(n.name, n.id).second) return;
+  std::vector<NodeId> to(old.node_count(), kInvalidNode);
+  std::vector<char> kept(net.node_count(), 0);
+  NodeId last = kInvalidNode;
+  for (const Node& n : old.nodes()) {
+    const auto it = by_name.find(n.name);
+    if (it != by_name.end() && net.node(it->second).kind == n.kind) {
+      if (it->second <= last) return;
+      last = to[ix(n.id)] = it->second;
+      kept[ix(last)] = 1;
+    } else if (n.kind == NodeKind::kRouter) {
+      return;
+    }
+  }
+  // Every kept node has the same kept neighbours in the same order.
+  for (const Node& n : old.nodes()) {
+    if (to[ix(n.id)] == kInvalidNode) continue;
+    std::vector<NodeId> was, now;
+    for (const Adjacency& adj : old.neighbors(n.id))
+      if (to[ix(adj.peer)] != kInvalidNode) was.push_back(to[ix(adj.peer)]);
+    for (const Adjacency& adj : net.neighbors(to[ix(n.id)]))
+      if (kept[ix(adj.peer)]) now.push_back(adj.peer);
+    if (was != now) return;
+  }
+
+  for (const auto& [key, routes] : prev.cache_) {
+    const NodeId a = to[ix(key >> 32)];
+    const NodeId b = to[ix(key & 0xffffffffu)];
+    if (a == kInvalidNode || b == kInvalidNode) continue;
+    std::vector<Route>& carried = cache_[pair_key(a, b)];
+    carried.resize(routes.size());
+    for (std::size_t i = 0; i < routes.size(); ++i) {
+      Route& r = carried[i];
+      for (const NodeId n : routes[i].nodes) r.nodes.push_back(to[ix(n)]);
+      for (std::size_t t = 0; t + 1 < r.nodes.size(); ++t)
+        r.links.push_back(*net.find_link(r.nodes[t], r.nodes[t + 1]));
+    }
+  }
+}
+
 const std::vector<Route>& RouteTable::routes(NodeId src, NodeId dst) {
-  const auto key_of = [](NodeId a, NodeId b) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-           static_cast<std::uint32_t>(b);
-  };
-  if (const auto it = cache_.find(key_of(src, dst)); it != cache_.end())
+  if (const auto it = cache_.find(pair_key(src, dst)); it != cache_.end())
     return it->second;
 
   // Enumerate from the lower node id, whichever direction is asked first:
@@ -250,16 +298,9 @@ const std::vector<Route>& RouteTable::routes(NodeId src, NodeId dst) {
   std::vector<Route> rev;
   rev.reserve(fwd.size());
   for (const Route& r : fwd) rev.push_back(r.reversed());
-  cache_.emplace(key_of(hi, lo), std::move(rev));
-  cache_.emplace(key_of(lo, hi), std::move(fwd));
-  return cache_.at(key_of(src, dst));
-}
-
-void RouteTable::adopt_cache(const RouteTable& donor) {
-  CS_REQUIRE(donor.opts_.max_routes == opts_.max_routes &&
-                 donor.opts_.max_hops == opts_.max_hops,
-             "RouteTable::adopt_cache: route options differ");
-  for (const auto& [key, routes] : donor.cache_) cache_.emplace(key, routes);
+  cache_.emplace(pair_key(hi, lo), std::move(rev));
+  cache_.emplace(pair_key(lo, hi), std::move(fwd));
+  return cache_.at(pair_key(src, dst));
 }
 
 }  // namespace cs::topology

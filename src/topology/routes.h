@@ -44,11 +44,9 @@ struct RouteOptions {
   /// Sentinel for "enumerate every simple route" (still bounded by an
   /// internal safety cap of 1024 to keep the encoder finite).
   static constexpr std::size_t kAllRoutes = 1024;
-};
 
-/// BFS shortest path from src to dst through router-only interiors.
-/// Empty result if unreachable.
-Route shortest_route(const Network& net, NodeId src, NodeId dst);
+  bool operator==(const RouteOptions&) const = default;
+};
 
 /// Yen's k-shortest loop-free routes (unit weights), sorted by length then
 /// discovery order. Honors opts.max_hops.
@@ -68,22 +66,22 @@ class RouteTable {
  public:
   RouteTable(const Network& net, RouteOptions opts);
 
+  /// Starts from `prev`, a table over an earlier version of the network,
+  /// carrying every pair `prev` enumerated whose two hosts survive, with
+  /// node and link ids remapped by node name. It carries only when the
+  /// options are equal and, with added and removed hosts and their links
+  /// set aside, the two networks are the same graph under an
+  /// order-preserving name map with the same neighbour order at every
+  /// node; otherwise it carries nothing. A route search cannot tell such
+  /// networks apart (docs/DELTAS.md), so the table always equals a fresh
+  /// RouteTable(net, opts). `prev` is read only here.
+  RouteTable(const Network& net, RouteOptions opts, const RouteTable& prev);
+
   /// Routes from src to dst (both must be hosts). Computed lazily.
   const std::vector<Route>& routes(NodeId src, NodeId dst);
 
-  const RouteOptions& options() const { return opts_; }
-
-  /// Number of distinct unordered pairs enumerated so far.
+  /// Number of distinct unordered pairs enumerated or carried so far.
   std::size_t pairs_computed() const { return cache_.size() / 2; }
-
-  /// Adopts another table's enumerated routes. The caller asserts that
-  /// every cached pair has the same route set in this table's network —
-  /// true when the networks differ only by appended leaf hosts (node and
-  /// link ids of shared elements unchanged, and a new leaf's only link
-  /// can appear on no pre-existing pair's routes). Used by the
-  /// incremental synthesizer's replay path (docs/DELTAS.md); options
-  /// must match.
-  void adopt_cache(const RouteTable& donor);
 
  private:
   const Network& net_;

@@ -110,13 +110,13 @@ def scale_doc(hosts, wall, status="sat"):
 
 
 def churn_doc(steps, inc, capped=0):
-    return one_run("cs-bench-churn-v1", {
+    return one_run("cs-bench-churn-v2", {
         "topology": "campus", "hosts": 24, "op_class": "all",
         "steps": steps, "inc_median_seconds": inc,
         "cold_median_seconds": 0.01, "speedup_median": 0.01 / inc,
         "capped": capped, "verdict_mismatches": 0, "invalid_designs": 0,
         "design_comparisons": 0, "design_matches": 0, "warm": steps,
-        "retract": 0, "replay": 0, "full": 0})
+        "retract": 0, "full": 0})
 
 
 def cases():

@@ -13,12 +13,18 @@
 //     fingerprint sections docs/DELTAS.md says it moves
 //   - the incremental-verdict contract: every apply_delta tier returns
 //     the cold verdict on the post-delta spec, with byte-identical
-//     designs on the replay/full tiers
+//     designs on the full tier
+//   - route carrying: a RouteTable carried across any delta equals a
+//     fresh one route for route, and carries exactly the pairs the rule
+//     in docs/DELTAS.md promises
+//   - bounded memory: a long warm-tier stream keeps no superseded spec
 //   - two independent churn streams on concurrent threads (the
 //     `parallel` label puts this under the TSan job)
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <variant>
@@ -30,6 +36,9 @@
 #include "model/fingerprint.h"
 #include "spec_helpers.h"
 #include "synth/synthesizer.h"
+#include "topology/routes.h"
+#include "topology/structured.h"
+#include "util/rng.h"
 
 namespace cs {
 namespace {
@@ -218,16 +227,6 @@ TEST(DeltaApply, RemoveFlowCascades) {
   EXPECT_TRUE(post.user_constraints.empty());
 }
 
-TEST(DeltaApply, RoutePreservationClassification) {
-  EXPECT_TRUE(model::route_preserving(
-      delta_of("add-host,nh,r1;add-flow,nh,h1,svc;retune,iso=5;"
-               "add-uic,forbid-service,svc,proxy;remove-flow,h1,h2,svc")));
-  EXPECT_FALSE(model::route_preserving(delta_of("fail-link,r1,r2")));
-  EXPECT_FALSE(model::route_preserving(delta_of("restore-link,r1,r2")));
-  EXPECT_FALSE(model::route_preserving(
-      delta_of("retune,iso=5;remove-host,h1")));
-}
-
 // ---------------------------------------------------------------------
 // Sub-digest sensitivity (the tier-classification oracle)
 // ---------------------------------------------------------------------
@@ -294,7 +293,7 @@ struct Step {
 };
 
 /// Applies each step to a shared Synthesizer chain and asserts the
-/// incremental verdict (and on replay/full, the design) is byte-identical
+/// incremental verdict (and on the full tier, the design) is byte-identical
 /// to a cold Synthesizer on the post-delta spec with the same options.
 void run_churn_chain(const model::ProblemSpec& start,
                      const std::vector<Step>& steps,
@@ -318,11 +317,10 @@ void run_churn_chain(const model::ProblemSpec& start,
                       .ok())
           << step.delta;
     }
-    if (check_designs &&
-        (report.path == "replay" || report.path == "full") &&
+    if (check_designs && report.path == "full" &&
         report.result.design.has_value() &&
         cold_result.design.has_value()) {
-      // Replay/full rebuild deterministically: the witness, not just the
+      // Full rebuilds deterministically: the witness, not just the
       // verdict, matches the cold one.
       EXPECT_TRUE(*report.result.design == *cold_result.design)
           << step.delta;
@@ -346,8 +344,8 @@ TEST_P(BackendDeltaTest, EveryTierMatchesColdOnTheExample) {
       {
           {"retune,iso=4,usab=3.5", "warm"},
           {"add-uic,forbid-flow,h1,h5,svc,proxy", "retract"},
-          {"remove-flow,h9,h10,svc", "replay"},
-          {"add-host,churn-a,r5;add-flow,churn-a,h5,svc,cr", "replay"},
+          {"remove-flow,h9,h10,svc", "full"},
+          {"add-host,churn-a,r5;add-flow,churn-a,h5,svc,cr", "full"},
           {"fail-link,r1,r2", "full"},
           {"retune,budget=40", "warm"},
           {"remove-uic,forbid-flow,h1,h5,svc,proxy", "retract"},
@@ -361,7 +359,7 @@ TEST_P(BackendDeltaTest, WithoutRetractableSectionsPolicyDeltasReplay) {
   synth::SynthesisOptions opts = options();
   opts.retractable_sections = false;
   run_churn_chain(make_example_spec(),
-                  {{"add-uic,forbid-service,svc,trusted-comm", "replay"}},
+                  {{"add-uic,forbid-service,svc,trusted-comm", "full"}},
                   opts);
 }
 
@@ -410,7 +408,7 @@ TEST(DeltaSynthesis, FatTreeChurnMatchesCold) {
                   {
                       {"retune,iso=6", "warm"},
                       {"add-uic,forbid-service,WEB,proxy", "retract"},
-                      {grow.c_str(), "replay"},
+                      {grow.c_str(), "full"},
                       {"remove-host,churn-a", "full"},
                   },
                   opts);
@@ -438,6 +436,233 @@ TEST(DeltaSynthesis, LinkRestoreDesignPassesAFreshChecker) {
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
+TEST(DeltaSynthesis, WarmStreamKeepsNoSupersededSpec) {
+  // A long-lived synthesizer holds the current spec and the one its
+  // route table reads, not every spec a warm delta superseded.
+  const auto in_use = [] {
+    return static_cast<std::int64_t>(mallinfo2().uordblks);
+  };
+  auto spec = std::make_shared<const model::ProblemSpec>(
+      cs::testing::make_random_spec(7, 40, 10));
+  const std::int64_t before_copy = in_use();
+  auto copy = std::make_unique<model::ProblemSpec>(*spec);
+  const std::int64_t spec_bytes = in_use() - before_copy;
+  copy.reset();
+  if (spec_bytes <= 0) GTEST_SKIP() << "allocator reports no bytes in use";
+
+  synth::SynthesisOptions opts;
+  opts.backend = BackendKind::kMiniPb;
+  opts.check_conflict_limit = 200;
+  synth::Synthesizer inc(spec, opts);
+  const SpecDelta retunes[] = {delta_of("retune,iso=1"),
+                               delta_of("retune,iso=2")};
+  std::int64_t at_100 = 0;
+  for (int d = 1; d <= 200; ++d) {
+    // The first probe may exhaust its cap and rebuild; the measured
+    // window must stay on the warm tier.
+    const std::string path = inc.apply_delta(retunes[d % 2]).path;
+    ASSERT_TRUE(d <= 100 || path == "warm") << d << ": " << path;
+    if (d == 100) at_100 = in_use();
+  }
+  // Keeping every superseded spec grows by about 100 specs here.
+  EXPECT_LT(in_use() - at_100, 10 * spec_bytes)
+      << "spec_bytes=" << spec_bytes;
+}
+
+// ---------------------------------------------------------------------
+// Route carrying (RouteTable's predecessor constructor)
+// ---------------------------------------------------------------------
+
+/// Draws one op of `kind` that is plausible on `cur`: names come from
+/// `cur`, and apply_delta decides validity (the caller redraws).
+DeltaOp draw_op(const model::ProblemSpec& cur, DeltaOpKind kind,
+                util::Rng& rng, int& next_host) {
+  const topology::Network& net = cur.network;
+  const auto name = [&](topology::NodeId n) { return net.node(n).name; };
+  DeltaOp op;
+  op.kind = kind;
+  switch (kind) {
+    case DeltaOpKind::kAddHost:
+      op.a = "carry-h" + std::to_string(next_host++);
+      op.b = name(rng.pick(net.routers()));
+      break;
+    case DeltaOpKind::kRemoveHost:
+      op.a = name(rng.pick(net.hosts()));
+      break;
+    case DeltaOpKind::kFailLink: {
+      const topology::Link& l = rng.pick(net.links());
+      op.a = name(l.a);
+      op.b = name(l.b);
+      break;
+    }
+    case DeltaOpKind::kRestoreLink:
+      // A new router-router link, or a second uplink for a host.
+      op.a = name(rng.chance(0.5) ? rng.pick(net.routers())
+                                  : rng.pick(net.hosts()));
+      op.b = name(rng.pick(net.routers()));
+      break;
+    case DeltaOpKind::kAddFlow:
+    case DeltaOpKind::kRemoveFlow: {
+      model::Flow f = rng.pick(cur.flows.all());
+      if (kind == DeltaOpKind::kAddFlow) {
+        f.src = rng.pick(net.hosts());
+        f.dst = rng.pick(net.hosts());
+        op.connectivity_required = rng.chance(0.3);
+      }
+      op.a = name(f.src);
+      op.b = name(f.dst);
+      op.service = cur.services.service(f.service).name;
+      break;
+    }
+    case DeltaOpKind::kAddUic:
+    case DeltaOpKind::kRemoveUic: {
+      // Removal picks one of the spec's forbid-flow constraints.
+      std::vector<model::ForbidPatternForFlow> present;
+      for (const model::UserConstraint& c : cur.user_constraints)
+        if (const auto* f = std::get_if<model::ForbidPatternForFlow>(&c))
+          present.push_back(*f);
+      model::ForbidPatternForFlow uic{rng.pick(cur.flows.all()),
+                                      model::IsolationPattern::kProxy};
+      if (rng.chance(0.5)) uic.pattern = model::IsolationPattern::kTrustedComm;
+      if (kind == DeltaOpKind::kRemoveUic && !present.empty())
+        uic = rng.pick(present);
+      op.uic = {"forbid-flow", name(uic.flow.src), name(uic.flow.dst),
+                cur.services.service(uic.flow.service).name,
+                std::string(model::pattern_token(uic.pattern))};
+      break;
+    }
+    case DeltaOpKind::kRetune:
+      op.isolation = util::Fixed::from_int(rng.uniform(1, 9));
+      break;
+  }
+  return op;
+}
+
+constexpr DeltaOpKind kAllOpKinds[] = {
+    DeltaOpKind::kAddHost,    DeltaOpKind::kRemoveHost,
+    DeltaOpKind::kFailLink,   DeltaOpKind::kRestoreLink,
+    DeltaOpKind::kAddFlow,    DeltaOpKind::kRemoveFlow,
+    DeltaOpKind::kAddUic,     DeltaOpKind::kRemoveUic,
+    DeltaOpKind::kRetune};
+
+/// The multi-op delta forms a stream draws besides single ops.
+enum class MultiOp {
+  kReAddHost,   // remove-host X; add-host X (half the time on X's router)
+  kRelinkLink,  // fail-link a,b; restore-link a,b (reorders adjacency)
+  kRandomOps,   // two or three ops of random kinds
+};
+
+/// One op of a kind, or a multi-op form.
+using DeltaForm = std::variant<DeltaOpKind, MultiOp>;
+
+/// A valid delta of the given form. Invalid draws are redrawn.
+SpecDelta draw_delta(const model::ProblemSpec& cur, const DeltaForm& form,
+                     util::Rng& rng, int& next_host) {
+  const topology::Network& net = cur.network;
+  const auto name = [&](topology::NodeId n) { return net.node(n).name; };
+  for (int attempt = 0; attempt < 200; ++attempt) {
+    SpecDelta d;
+    if (const auto* kind = std::get_if<DeltaOpKind>(&form)) {
+      d.ops.push_back(draw_op(cur, *kind, rng, next_host));
+    } else if (std::get<MultiOp>(form) == MultiOp::kReAddHost) {
+      const topology::NodeId host = rng.pick(net.hosts());
+      const topology::NodeId router = rng.chance(0.5)
+                                          ? net.neighbors(host)[0].peer
+                                          : rng.pick(net.routers());
+      d = delta_of("remove-host," + name(host) + ";add-host," + name(host) +
+                   "," + name(router));
+    } else if (std::get<MultiOp>(form) == MultiOp::kRelinkLink) {
+      const topology::Link& l = rng.pick(net.links());
+      d = delta_of("fail-link," + name(l.a) + "," + name(l.b) +
+                   ";restore-link," + name(l.a) + "," + name(l.b));
+    } else {
+      model::ProblemSpec mid = cur;
+      for (int i = static_cast<int>(rng.uniform(2, 3)); i > 0; --i) {
+        d.ops.push_back(draw_op(
+            mid, kAllOpKinds[static_cast<std::size_t>(rng.uniform(0, 8))],
+            rng, next_host));
+        try {
+          mid = apply_delta(mid, SpecDelta{{d.ops.back()}});
+        } catch (const util::SpecError&) {
+          d.ops.pop_back();
+        }
+      }
+      if (d.ops.size() < 2) continue;
+    }
+    try {
+      apply_delta(cur, d);
+      return d;
+    } catch (const util::SpecError&) {
+    }
+  }
+  throw util::InternalError("draw_delta: no valid delta drawn");
+}
+
+/// Unordered pairs among `n` hosts.
+std::size_t pairs_of(std::size_t n) { return n * (n - 1) / 2; }
+
+TEST(RouteCarry, CarriedTableEqualsAFreshOneOnSeededStreams) {
+  std::size_t carried_total = 0;
+  for (const topology::TopologyKind fabric :
+       {topology::TopologyKind::kFatTree, topology::TopologyKind::kCampus,
+        topology::TopologyKind::kIsp, topology::TopologyKind::kMesh}) {
+    util::Rng rng(77 + static_cast<std::uint64_t>(fabric));
+    int next_host = 0;
+    auto cur = std::make_shared<const model::ProblemSpec>(
+        bench::make_locality_spec(fabric, 24, /*seed=*/5));
+    auto table = std::make_unique<topology::RouteTable>(
+        cur->network, cur->route_options);
+    for (int step = 0; step < 48; ++step) {
+      // Fill the predecessor so every pair is a carry candidate.
+      for (const topology::NodeId a : cur->network.hosts())
+        for (const topology::NodeId b : cur->network.hosts())
+          if (a != b) table->routes(a, b);
+      const std::size_t hosts = cur->network.host_count();
+      ASSERT_EQ(table->pairs_computed(), pairs_of(hosts));
+
+      // Each of the nine op kinds, then each multi-op form, in turn.
+      std::optional<DeltaOpKind> kind;
+      if (step % 12 < 9) kind = kAllOpKinds[step % 12];
+      const DeltaForm form =
+          kind ? DeltaForm(*kind) : DeltaForm(MultiOp(step % 12 - 9));
+      const SpecDelta delta = draw_delta(*cur, form, rng, next_host);
+      const std::string text =
+          std::string(topology::topology_kind_name(fabric)) + " step " +
+          std::to_string(step) + ": " + render_delta(delta);
+      auto post =
+          std::make_shared<const model::ProblemSpec>(apply_delta(*cur, delta));
+      auto carried = std::make_unique<topology::RouteTable>(
+          post->network, post->route_options, *table);
+
+      // How much is carried: every pair whose hosts survive, and nothing
+      // across a link change.
+      const std::size_t carried_pairs = carried->pairs_computed();
+      carried_total += carried_pairs;
+      if (kind) {
+        std::size_t want = pairs_of(hosts);
+        if (*kind == DeltaOpKind::kFailLink ||
+            *kind == DeltaOpKind::kRestoreLink)
+          want = 0;
+        if (*kind == DeltaOpKind::kRemoveHost) want = pairs_of(hosts - 1);
+        EXPECT_EQ(carried_pairs, want) << text;
+      }
+
+      // Equality, filling the rest lazily.
+      topology::RouteTable fresh(post->network, post->route_options);
+      int differing = 0;
+      for (const topology::NodeId a : post->network.hosts())
+        for (const topology::NodeId b : post->network.hosts())
+          if (a != b && !(carried->routes(a, b) == fresh.routes(a, b)))
+            ++differing;
+      EXPECT_EQ(differing, 0) << text;
+
+      table = std::move(carried);
+      cur = std::move(post);
+    }
+  }
+  EXPECT_GT(carried_total, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Concurrency (TSan target)
 // ---------------------------------------------------------------------
@@ -456,7 +681,7 @@ TEST(DeltaSynthesisParallel, IndependentChurnStreamsOnThreads) {
       {"fail-link,r1,r2", "full"},
   };
   const std::vector<Step> plan_b = {
-      {"add-host,churn-b,r8;add-flow,churn-b,h9,svc,cr", "replay"},
+      {"add-host,churn-b,r8;add-flow,churn-b,h9,svc,cr", "full"},
       {"retune,usab=3,budget=45", "warm"},
       {"remove-host,churn-b", "full"},
   };

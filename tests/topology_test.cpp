@@ -77,9 +77,18 @@ TEST(Network, InternetFlag) {
   EXPECT_TRUE(net.is_host(i));
 }
 
+/// The one shortest route between hosts 0 and 1.
+Route shortest(const Network& net) {
+  RouteOptions opts;
+  opts.max_routes = 1;
+  const std::vector<Route> routes = k_shortest_routes(net, 0, 1, opts);
+  CS_ENSURE(routes.size() == 1, "expected exactly one route");
+  return routes.front();
+}
+
 TEST(Routes, ShortestRouteFound) {
   const Network net = tiny_network();
-  const Route r = shortest_route(net, 0, 1);
+  const Route r = shortest(net);
   ASSERT_EQ(r.length(), 3u);  // h1-r1-r2-h2
   EXPECT_EQ(r.nodes.front(), 0);
   EXPECT_EQ(r.nodes.back(), 1);
@@ -178,7 +187,7 @@ TEST(Routes, MaxHopsHonored) {
 
 TEST(Routes, ReversedRoute) {
   const Network net = tiny_network();
-  const Route r = shortest_route(net, 0, 1);
+  const Route r = shortest(net);
   const Route rev = r.reversed();
   EXPECT_EQ(rev.nodes.front(), 1);
   EXPECT_EQ(rev.nodes.back(), 0);
@@ -222,6 +231,70 @@ TEST(RouteTable, PairRoutesIndependentOfQueryDirection) {
         EXPECT_EQ(ab[r].reversed(), ba[r]);
     }
   }
+}
+
+/// h1 dual-homed to r1 and r2, h2 on r3, both r1 and r2 linked to r3;
+/// `r2_first` lists h1's uplink to r2 first.
+Network dual_homed(bool r2_first) {
+  Network net;
+  const NodeId h1 = net.add_host("h1");
+  const NodeId h2 = net.add_host("h2");
+  const NodeId r1 = net.add_router("r1");
+  const NodeId r2 = net.add_router("r2");
+  const NodeId r3 = net.add_router("r3");
+  net.add_link(r1, r3);
+  net.add_link(r2, r3);
+  net.add_link(h2, r3);
+  net.add_link(h1, r2_first ? r2 : r1);
+  net.add_link(h1, r2_first ? r1 : r2);
+  return net;
+}
+
+TEST(RouteTable, CarriesOnlyWhatASearchCannotTellApart) {
+  // The predecessor constructor carries a pair only when a fresh search
+  // could not tell the two networks apart (docs/DELTAS.md).
+  const Network net = tiny_network();
+  RouteTable prev(net, RouteOptions{});
+  const std::vector<Route> routes = prev.routes(0, 1);
+
+  RouteTable same(net, RouteOptions{}, prev);
+  EXPECT_EQ(same.pairs_computed(), 1u);
+  EXPECT_EQ(same.routes(0, 1), routes);
+
+  // Other options: a fresh search keeps a different route set.
+  RouteTable one_route(net, RouteOptions{.max_routes = 1}, prev);
+  EXPECT_EQ(one_route.pairs_computed(), 0u);
+  EXPECT_EQ(one_route.routes(0, 1).size(), 1u);
+
+  // The same graph with r2 and r3 declared in the other order:
+  // equal-length routes tie by router id, so nothing is carried.
+  Network swapped;
+  const NodeId h1 = swapped.add_host("h1");
+  const NodeId h2 = swapped.add_host("h2");
+  const NodeId r1 = swapped.add_router("r1");
+  const NodeId r3 = swapped.add_router("r3");
+  const NodeId r2 = swapped.add_router("r2");
+  swapped.add_link(h1, r1);
+  swapped.add_link(r1, r2);
+  swapped.add_link(r2, h2);
+  swapped.add_link(r1, r3);
+  swapped.add_link(r3, r2);
+  RouteTable reordered(swapped, RouteOptions{}, prev);
+  EXPECT_EQ(reordered.pairs_computed(), 0u);
+  RouteTable fresh(swapped, RouteOptions{});
+  EXPECT_EQ(reordered.routes(h1, h2), fresh.routes(h1, h2));
+
+  // Only h1's own uplink order differs: its search tries r2 first, so
+  // its two equal-length routes come out in the other order.
+  const Network r1_first = dual_homed(false);
+  const Network r2_first = dual_homed(true);
+  RouteTable before(r1_first, RouteOptions{});
+  (void)before.routes(0, 1);
+  RouteTable after(r2_first, RouteOptions{}, before);
+  EXPECT_EQ(after.pairs_computed(), 0u);
+  RouteTable fresh_after(r2_first, RouteOptions{});
+  EXPECT_NE(before.routes(0, 1), fresh_after.routes(0, 1));
+  EXPECT_EQ(after.routes(0, 1), fresh_after.routes(0, 1));
 }
 
 TEST(Generator, ProducesValidNetworks) {
