@@ -597,14 +597,6 @@ void Solver::attach_clause(ClauseRef cref) {
   }
 }
 
-void Solver::detach_bin_eager(ClauseRef cref, Lit l0, Lit l1) {
-  for (const Lit l : {l0, l1}) {
-    std::vector<BinWatcher>& bws = bin_watches_[(~l).index()];
-    std::erase_if(bws,
-                  [cref](const BinWatcher& bw) { return bw.cref == cref; });
-  }
-}
-
 void Solver::detach_long_eager(ClauseRef cref, Lit l0, Lit l1) {
   for (const Lit l : {l0, l1}) {
     std::vector<Watcher>& ws = watches_[(~l).index()];
@@ -668,6 +660,8 @@ void Solver::simplify() {
   for (const Lit p : trail_)
     reason_[static_cast<std::size_t>(p.var())] = Reason{};
 
+  // Binary watch lists that hold a freed clause's watchers.
+  std::vector<std::size_t> stale_bin_lists;
   const auto process = [&](std::vector<ClauseRef>& list, bool learnt_list) {
     std::size_t keep_n = 0;
     for (const ClauseRef cr : list) {
@@ -682,7 +676,10 @@ void Solver::simplify() {
         }
       }
       if (satisfied) {
-        if (size == 2) detach_bin_eager(cr, c[0], c[1]);
+        if (size == 2) {
+          stale_bin_lists.push_back((~c[0]).index());
+          stale_bin_lists.push_back((~c[1]).index());
+        }
         if (learnt_list && c.tier() == ClauseTier::kLocal) --num_local_;
         ca_.free_clause(cr);
         ++stats_.deleted_clauses;
@@ -724,6 +721,17 @@ void Solver::simplify() {
   };
   process(clauses_, /*learnt_list=*/false);
   process(learnts_, /*learnt_list=*/true);
+  // One order-preserving pass per affected list drops the freed binary
+  // clauses' watchers; it must precede the GC, which relocates every
+  // binary watcher it finds.
+  std::sort(stale_bin_lists.begin(), stale_bin_lists.end());
+  stale_bin_lists.erase(
+      std::unique(stale_bin_lists.begin(), stale_bin_lists.end()),
+      stale_bin_lists.end());
+  for (const std::size_t i : stale_bin_lists)
+    std::erase_if(bin_watches_[i], [this](const BinWatcher& bw) {
+      return ca_.deref(bw.cref).marked();
+    });
   ++stats_.db_simplify_rounds;
   simplified_trail_size_ = trail_.size();
   maybe_gc();
@@ -785,8 +793,8 @@ void Solver::garbage_collect() {
     }
     ws.resize(keep);
   }
-  // Binary clauses are only ever freed with eager watcher removal
-  // (simplify), so every binary watcher is live.
+  // Binary clauses are only ever freed by simplify, which drops their
+  // watchers before it collects, so every binary watcher is live.
   for (std::vector<BinWatcher>& bws : bin_watches_) {
     for (BinWatcher& bw : bws) ca_.reloc(bw.cref, fresh);
   }

@@ -240,8 +240,6 @@ class Solver {
   void bump_clause(Clause c);
   void decay_clause_activity() { clause_inc_ /= kClauseDecay; }
   void attach_clause(ClauseRef cref);
-  /// Eagerly removes a binary clause's two inline watchers.
-  void detach_bin_eager(ClauseRef cref, Lit l0, Lit l1);
   /// Eagerly removes a long clause's two watchers (root simplification
   /// shrinking a clause to binary must reattach it on the binary lists).
   void detach_long_eager(ClauseRef cref, Lit l0, Lit l1);

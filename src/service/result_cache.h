@@ -12,14 +12,17 @@
 // callers can never mutate the cached value.
 //
 // Each entry also records the spec's per-section sub-digests
-// (model::SpecDigests) when the caller provides them. A full-key miss
-// whose encoding *shape* (topology+flows+uics, excluding the
-// threshold/budget query point) matches some cached entry is counted as
-// a partial hit: the result must be recomputed, but a warm synthesizer
-// for the same formula exists somewhere (the warm pool is keyed on the
-// same shape digest), so the miss costs a resolve(), not a cold encode.
-// The service exports this as `cache_partial_hits` — the signature of a
-// thresholds-only delta stream.
+// (model::SpecDigests) when the caller provides them, and a shape index
+// counts the live entries of each encoding *shape* (topology+flows+uics,
+// excluding the threshold/budget query point). A full-key miss whose
+// shape matches some cached entry is a partial hit: the result must be
+// recomputed, but the shape has been solved before, so it is one that
+// comes back. SynthService admits a solver to its warm pool (keyed on
+// the same shape digest) only on such a miss or a warm checkout, and
+// exports the count as `cache_partial_hits` — the signature of a
+// thresholds-only delta stream. The index lives and dies with the
+// entries, so it is bounded by the capacity: a shape is remembered for
+// as long as one of its results is cached.
 //
 // All operations take one internal mutex; the expensive part of a
 // request (solving) never runs under it.
@@ -45,7 +48,7 @@ struct CacheStats {
   /// Hits whose cached verdict was kUnsat (negative-result cache).
   std::int64_t negative_hits = 0;
   /// Full-key misses whose encoding shape matched a cached entry
-  /// (thresholds-only divergence — servable via a warm resolve).
+  /// (thresholds-only divergence — a shape that came back).
   std::int64_t partial_hits = 0;
 };
 
@@ -60,8 +63,8 @@ class ResultCache {
   /// most-recently-used; nullopt on miss. When `digests` is given, a
   /// miss additionally probes the shape index and counts a partial hit
   /// on a match (see header comment); `partial` (optional) is set to
-  /// whether this lookup was one, so callers can feed their own
-  /// metrics without re-querying stats().
+  /// whether this lookup was one, so callers can act on it (warm-pool
+  /// admission, their own metrics) without re-querying stats().
   std::optional<synth::SweepPointResult> lookup(
       const model::Fingerprint& key,
       const model::SpecDigests* digests = nullptr, bool* partial = nullptr);
@@ -69,7 +72,7 @@ class ResultCache {
   /// Inserts (or refreshes) an entry, evicting the least-recently-used
   /// one when full. Skipped results are not worth remembering — the
   /// caller should not insert them. `digests` (optional) feeds the
-  /// shape index used for partial-hit accounting.
+  /// shape index used for partial hits (warm-pool admission).
   void insert(const model::Fingerprint& key,
               const synth::SweepPointResult& value,
               const model::SpecDigests* digests = nullptr);

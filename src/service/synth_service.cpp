@@ -110,13 +110,17 @@ SynthService::WarmEntry SynthService::warm_checkout(
 void SynthService::warm_checkin(const model::Fingerprint& key,
                                 WarmEntry entry) {
   if (config_.warm_pool_limit == 0) return;
+  // Declared before the lock, so the victims (whole solvers) are
+  // destroyed after it is released and no checkout waits on them.
+  std::vector<WarmEntry> victims;
   std::lock_guard<std::mutex> lock(warm_mutex_);
   while (warm_order_.size() >= config_.warm_pool_limit) {
     const model::Fingerprint victim = warm_order_.front();
     warm_order_.erase(warm_order_.begin());
     const auto it = warm_pool_.find(victim);
     if (it != warm_pool_.end() && !it->second.empty()) {
-      it->second.erase(it->second.begin());  // oldest entry of that key
+      victims.push_back(std::move(it->second.front()));  // oldest of key
+      it->second.erase(it->second.begin());
       if (it->second.empty()) warm_pool_.erase(it);
       metrics_.counter("warm_evictions").inc();
     }
@@ -206,8 +210,8 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
   const std::string rid = std::to_string(request_id);
   // The spec is hashed once: the cache key, the cache's miss
   // classification (partial hit = same encoding shape cached under other
-  // thresholds — the warm-resolve signature) and the warm-pool key all
-  // derive from these digests.
+  // thresholds — the signal that admits a solver to the warm pool) and
+  // the warm-pool key all derive from these digests.
   const model::SpecDigests digests =
       model::fingerprint_sections(*request.spec);
   ServiceOutcome out;
@@ -246,12 +250,14 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
   // wait per outcome, so the loop terminates.
   std::shared_future<void> wait_for;
   std::shared_ptr<std::promise<void>> publish;
+  // Whether the last lookup missed on a shape the cache already holds a
+  // result for: the shape has come back, so its solver is worth pooling.
+  bool shape_cached = false;
   const auto traced_lookup = [&] {
     obs::Span span("service", "service/cache_lookup");
     span.arg("req", rid);
-    bool partial = false;
-    auto hit = cache_.lookup(out.fingerprint, &digests, &partial);
-    if (partial) metrics_.counter("cache_partial_hits").inc();
+    auto hit = cache_.lookup(out.fingerprint, &digests, &shape_cached);
+    if (shape_cached) metrics_.counter("cache_partial_hits").inc();
     return hit;
   };
   for (bool waited = false;;) {
@@ -298,7 +304,7 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
   // Solve on a Synthesizer owned exclusively by this worker, exactly as
   // a sweep grid point would be: warm on a checked-out encoded solver for
   // this shape/backend/caps, cold on an empty slot (a miss, or the pool
-  // is off). The slot is checked back in afterwards either way.
+  // is off).
   synth::SweepRequest sweep;
   sweep.synthesis = request.synthesis;
   sweep.optimize = request.optimize;
@@ -326,7 +332,15 @@ ServiceOutcome SynthService::execute(const ServiceRequest& request,
     out.result = synth::solve_sweep_point_on(entry.synth, *entry.spec, sweep,
                                              request.point, left);
   }
-  warm_checkin(warm_key, std::move(entry));
+  // Pool the solver only when its shape comes back: it was checked out
+  // warm, or the cache already held a result for the shape. A one-off
+  // shape's solver is destroyed here, on the worker that built it.
+  if (out.result.warm || shape_cached) {
+    warm_checkin(warm_key, std::move(entry));
+  } else {
+    if (config_.warm_pool_limit > 0) metrics_.counter("warm_declined").inc();
+    entry = {};
+  }
   record_solver_effort(out.result, request.synthesis.backend);
 
   // Retry policy: a conflict-capped probe that came back unknown gets

@@ -22,22 +22,32 @@
 //   * retry policy — a conflict-limit-capped probe that came back
 //     kUnknown is re-run once, cold, with the cap raised ×4 before the
 //     lower bound is reported.
-//   * warm synthesizer pool — encoded solvers are kept after a solve,
-//     keyed by (spec *shape* digest, backend, caps). A
-//     repeat of the same encoding shape at *different* thresholds (a
+//   * warm synthesizer pool — encoded solvers kept across requests,
+//     keyed by (spec *shape* digest, backend, caps), for the slider
+//     loop: a repeat of one encoding shape at *different* thresholds (a
 //     cache miss — including a spec retuned by a thresholds-only
 //     cs-delta-v1 delta) checks one out and re-solves by swapping
 //     threshold assumptions (synth::Synthesizer::resolve), skipping the
 //     encode entirely.
+//     A solver is admitted only when its shape comes back: it was
+//     checked out warm, or its request's cache lookup was a partial hit
+//     (the ResultCache's shape index already held a result for the
+//     shape). Any other solver is destroyed when its request ends, on
+//     the worker that built it, and counted as `warm_declined`, so a
+//     stream of one-off specs parks nothing and evicts nothing. The
+//     price: a new shape's second request still solves cold (its solver
+//     is the one admitted), and its third is the first warm one.
+//     Past `warm_pool_limit` the oldest entry is evicted FIFO; victims
+//     are destroyed after the pool lock is released.
 //     Checkout removes the entry from the pool, so a warm synthesizer is
 //     never shared between workers; solve_sweep_point_on re-applies the
 //     per-request caps on every solve. With the pool off (or on a miss)
 //     the checkout is an empty slot and the request solves cold; the
 //     retry at a raised cap always solves cold.
 //   * metrics — every request feeds the MetricsRegistry (request/hit/
-//     rejection counters, per-backend probe counts, warm-pool hits and
-//     misses, cumulative solver-effort counters, queue-wait and
-//     solve-time histograms).
+//     rejection counters, per-backend probe counts, warm-pool hits,
+//     misses, declines and evictions, cumulative solver-effort counters,
+//     queue-wait and solve-time histograms).
 //
 // Threading model: a fixed util::ThreadPool; each request solves on a
 // Synthesizer owned exclusively by its worker for the duration of the
@@ -134,8 +144,8 @@ struct ServiceConfig {
   /// ResultCache entries.
   std::size_t cache_capacity = 256;
   /// Maximum encoded synthesizers kept across requests for warm re-solves
-  /// (FIFO eviction across all keys); 0 disables the warm pool and every
-  /// request solves cold.
+  /// (FIFO eviction across all keys; only shapes that come back are
+  /// admitted); 0 disables the warm pool and every request solves cold.
   std::size_t warm_pool_limit = 8;
   /// Observability hook: called on the worker thread when a request
   /// starts executing (after dequeue, before the cache lookup). Used by
@@ -225,7 +235,8 @@ class SynthService {
   /// so entries are never shared.
   WarmEntry warm_checkout(const model::Fingerprint& key);
   /// Parks a synthesizer for reuse, evicting FIFO past the pool limit
-  /// (drops it when the pool is off).
+  /// and destroying the victims outside the lock (drops it when the pool
+  /// is off).
   void warm_checkin(const model::Fingerprint& key, WarmEntry entry);
   /// Feeds a solved point's probe count and solver-effort deltas into the
   /// metrics counters.

@@ -126,6 +126,11 @@ class Backend {
   /// Creates a fresh Boolean variable. `name` aids debugging/dumps only.
   virtual BoolVar new_bool(const std::string& name) = 0;
 
+  /// Whether new_bool keeps `name` (Z3 does; MiniPB variables are
+  /// anonymous), so callers format names only for a backend that keeps
+  /// them.
+  virtual bool keeps_names() const = 0;
+
   virtual std::size_t num_vars() const = 0;
 
   /// Adds a disjunction of literals (must be non-empty). Encoders emit

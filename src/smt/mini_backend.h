@@ -15,6 +15,7 @@ namespace cs::smt {
 class MiniBackend final : public Backend {
  public:
   BoolVar new_bool(const std::string& name) override;
+  bool keeps_names() const override { return false; }
   std::size_t num_vars() const override { return solver_.num_vars(); }
 
   using Backend::add_clause;

@@ -22,6 +22,7 @@ class Z3Backend final : public Backend {
   Z3Backend();
 
   BoolVar new_bool(const std::string& name) override;
+  bool keeps_names() const override { return true; }
   std::size_t num_vars() const override { return vars_.size(); }
 
   using Backend::add_clause;

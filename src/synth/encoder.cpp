@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
+#include <type_traits>
 
 #include "obs/trace.h"
 #include "util/error.h"
@@ -23,6 +25,21 @@ std::uint64_t Encoding::pair_key(topology::NodeId a, topology::NodeId b) {
   if (a > b) std::swap(a, b);
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
          static_cast<std::uint32_t>(b);
+}
+
+template <typename... Parts>
+smt::BoolVar Encoding::named_bool(const Parts&... parts) {
+  std::string name;
+  if (backend_.keeps_names()) {
+    const auto append = [&name](const auto& part) {
+      if constexpr (std::is_arithmetic_v<std::decay_t<decltype(part)>>)
+        name += std::to_string(part);
+      else
+        name += part;
+    };
+    (append(parts), ...);
+  }
+  return backend_.new_bool(name);
 }
 
 Encoding::Encoding(const model::ProblemSpec& spec,
@@ -48,7 +65,7 @@ Encoding::Encoding(const model::ProblemSpec& spec,
   phase("encode/placement-constraints",
         [&] { add_placement_constraints(); });
   if (retractable_)
-    section_guard_ = smt::pos(backend_.new_bool("section-guard-0"));
+    section_guard_ = smt::pos(named_bool("section-guard-0"));
   phase("encode/user-constraints", [&] { add_user_constraints(); });
   phase("encode/host-requirements", [&] { add_host_requirements(); });
   phase("encode/metric-terms", [&] { build_metric_terms(); });
@@ -78,8 +95,7 @@ void Encoding::reemit_policy_sections() {
   // learnt clauses stay implied because they were derived with the guard
   // as an assumption, never as a fact.
   backend_.add_clause({!section_guard_});
-  section_guard_ = smt::pos(
-      backend_.new_bool("section-guard-" + std::to_string(++section_round_)));
+  section_guard_ = smt::pos(named_bool("section-guard-", ++section_round_));
   obs::Span span("encode", "encode/reemit-policy-sections");
   add_user_constraints();
   add_host_requirements();
@@ -119,8 +135,7 @@ void Encoding::create_flow_vars() {
   for (std::size_t f = 0; f < n; ++f) {
     for (const model::IsolationPattern k : spec().isolation.enabled()) {
       y_[f][static_cast<std::size_t>(model::pattern_index(k))] =
-          backend_.new_bool("y_f" + std::to_string(f) + "_k" +
-                            std::to_string(model::paper_id(k)));
+          named_bool("y_f", f, "_k", model::paper_id(k));
       ++stats_.flow_vars;
     }
   }
@@ -143,8 +158,7 @@ void Encoding::create_pair_and_link_vars() {
     for (const model::DeviceType d : model::kAllDevices) {
       const auto di = static_cast<std::size_t>(model::device_index(d));
       if (!device_used_[di]) continue;
-      arr[di] = backend_.new_bool("x_p" + std::to_string(key) + "_d" +
-                                  std::to_string(model::paper_id(d)));
+      arr[di] = named_bool("x_p", key, "_d", model::paper_id(d));
       ++stats_.pair_device_vars;
     }
     x_.emplace(key, arr);
@@ -157,8 +171,7 @@ void Encoding::create_pair_and_link_vars() {
     for (const model::DeviceType d : model::kAllDevices) {
       const auto di = static_cast<std::size_t>(model::device_index(d));
       if (!device_used_[di]) continue;
-      l_[e][di] = backend_.new_bool("l_e" + std::to_string(e) + "_d" +
-                                    std::to_string(model::paper_id(d)));
+      l_[e][di] = named_bool("l_e", e, "_d", model::paper_id(d));
       ++stats_.placement_vars;
     }
   }
@@ -176,8 +189,7 @@ void Encoding::create_host_pattern_vars() {
     for (const model::HostPattern t : hcfg.enabled()) {
       const auto ti = static_cast<std::size_t>(model::host_pattern_index(t));
       hp_[static_cast<std::size_t>(j)][ti] =
-          backend_.new_bool("hp_n" + std::to_string(j) + "_t" +
-                            std::to_string(model::host_pattern_index(t)));
+          named_bool("hp_n", j, "_t", model::host_pattern_index(t));
       ++stats_.host_pattern_vars;
       at_most[n++] = smt::pos(hp_[static_cast<std::size_t>(j)][ti]);
     }
@@ -194,9 +206,8 @@ void Encoding::create_host_pattern_vars() {
         spec().flows.flow(static_cast<model::FlowId>(f));
     for (const model::HostPattern t : hcfg.enabled()) {
       const auto ti = static_cast<std::size_t>(model::host_pattern_index(t));
-      const smt::BoolVar z = backend_.new_bool(
-          "z_f" + std::to_string(f) + "_t" +
-          std::to_string(model::host_pattern_index(t)));
+      const smt::BoolVar z =
+          named_bool("z_f", f, "_t", model::host_pattern_index(t));
       ++stats_.host_pattern_vars;
       z_[f][ti] = z;
       const smt::BoolVar hp =
@@ -268,9 +279,7 @@ void Encoding::create_app_pattern_vars() {
     for (const model::AppPattern t : acfg.enabled()) {
       if (!acfg.applicable(t, flow.service)) continue;
       const auto ti = static_cast<std::size_t>(model::app_pattern_index(t));
-      arr[ti] = backend_.new_bool(
-          "ap_n" + std::to_string(flow.dst) + "_g" +
-          std::to_string(flow.service) + "_t" + std::to_string(ti));
+      arr[ti] = named_bool("ap_n", flow.dst, "_g", flow.service, "_t", ti);
       ++stats_.app_pattern_vars;
       at_most[n++] = smt::pos(arr[ti]);
     }
@@ -292,8 +301,7 @@ void Encoding::create_app_pattern_vars() {
     for (const model::AppPattern t : acfg.enabled()) {
       const auto ti = static_cast<std::size_t>(model::app_pattern_index(t));
       if (arr[ti] == smt::kNoVar) continue;
-      const smt::BoolVar w = backend_.new_bool(
-          "w_f" + std::to_string(f) + "_t" + std::to_string(ti));
+      const smt::BoolVar w = named_bool("w_f", f, "_t", ti);
       ++stats_.app_pattern_vars;
       w_[f][ti] = w;
       counted_clause({smt::neg(w), smt::pos(arr[ti])});
@@ -359,8 +367,7 @@ void Encoding::create_score_ladders() {
     std::vector<LadderStep>& steps = ladder_[f];
     steps.reserve(levels.size());
     for (const std::int64_t level : levels) {
-      const smt::BoolVar u = backend_.new_bool(
-          "u_f" + std::to_string(f) + "_l" + std::to_string(level));
+      const smt::BoolVar u = named_bool("u_f", f, "_l", level);
       steps.push_back(LadderStep{level, u});
     }
     for (std::size_t j = 0; j + 1 < steps.size(); ++j)
@@ -671,7 +678,7 @@ smt::Lit Encoding::isolation_guard(util::Fixed threshold) {
   const std::int64_t bound = util::checked_sub_i64(
       util::checked_mul_i64(threshold.raw(), iso_pairs_, "isolation bound"),
       iso_const_, "isolation bound");
-  const smt::Lit guard = smt::pos(backend_.new_bool("g_iso"));
+  const smt::Lit guard = smt::pos(named_bool("g_iso"));
   backend_.add_guarded_linear_ge(guard, iso_terms_, bound);
   ++stats_.linear_constraints;
   return guard;
@@ -687,14 +694,14 @@ smt::Lit Encoding::usability_guard(util::Fixed threshold) {
                                 "usability bound"),
           "usability bound") /
       model::kSliderMax.raw();
-  const smt::Lit guard = smt::pos(backend_.new_bool("g_usab"));
+  const smt::Lit guard = smt::pos(named_bool("g_usab"));
   backend_.add_guarded_linear_le(guard, usab_penalty_terms_, bound);
   ++stats_.linear_constraints;
   return guard;
 }
 
 smt::Lit Encoding::cost_guard(util::Fixed budget) {
-  const smt::Lit guard = smt::pos(backend_.new_bool("g_cost"));
+  const smt::Lit guard = smt::pos(named_bool("g_cost"));
   backend_.add_guarded_linear_le(guard, cost_terms_, budget.raw());
   ++stats_.linear_constraints;
   return guard;

@@ -154,6 +154,10 @@ class Encoding {
     counted_clause(std::span<const smt::Lit>(lits.begin(), lits.size()));
   }
   void counted_unit(smt::Lit l);
+  /// backend_.new_bool named by concatenating `parts` (strings and
+  /// integers); the name is formatted only when the backend keeps it.
+  template <typename... Parts>
+  smt::BoolVar named_bool(const Parts&... parts);
   /// Like counted_clause/add_linear_ge, but guarded by the active
   /// section guard when sections are retractable.
   void section_clause(std::initializer_list<smt::Lit> lits);

@@ -1,6 +1,7 @@
 #include "synth/synthesizer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "model/fingerprint.h"
 #include "obs/trace.h"
@@ -83,7 +84,12 @@ DeltaApplyReport Synthesizer::apply_delta(const model::SpecDelta& delta) {
   // mutates, so a bad delta leaves this synthesizer fully usable.
   auto next = std::make_shared<const model::ProblemSpec>(
       model::apply_delta(*spec_, delta));
-  const model::SpecDigests before = model::fingerprint_sections(*spec_);
+  // The kept digests (the previous step's `after`) describe the current
+  // spec. They are dropped while the spec changes hands, so a throw below
+  // leaves them to be recomputed rather than stale.
+  const model::SpecDigests before =
+      digests_ ? *std::exchange(digests_, std::nullopt)
+               : model::fingerprint_sections(*spec_);
   const model::SpecDigests after = model::fingerprint_sections(*next);
   const bool topo_clean = before.topology == after.topology;
   const bool flows_clean = before.flows == after.flows;
@@ -128,6 +134,7 @@ DeltaApplyReport Synthesizer::apply_delta(const model::SpecDelta& delta) {
     rebuild(spec_owner_);
     report.result = synthesize();
   }
+  digests_ = after;  // every tier above adopted `next`
   span.arg("path", report.path.c_str());
   return report;
 }

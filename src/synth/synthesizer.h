@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "model/delta.h"
+#include "model/fingerprint.h"
 #include "model/spec.h"
 #include "smt/ir.h"
 #include "synth/design.h"
@@ -135,6 +136,14 @@ class Synthesizer {
   /// verdict contract.
   DeltaApplyReport apply_delta(const model::SpecDelta& delta);
 
+  /// Sub-digests of spec() kept from the last apply_delta, which the next
+  /// call uses as its pre-delta digests; nullopt before the first call
+  /// (the first call computes them, so a synthesizer that never takes a
+  /// delta never hashes its spec).
+  const std::optional<model::SpecDigests>& kept_digests() const {
+    return digests_;
+  }
+
  private:
   smt::Lit guard_for(ThresholdKind kind, util::Fixed value);
 
@@ -156,6 +165,7 @@ class Synthesizer {
   std::unique_ptr<topology::RouteTable> routes_;
   std::unique_ptr<smt::Backend> backend_;
   std::unique_ptr<Encoding> encoding_;
+  std::optional<model::SpecDigests> digests_;
   double encode_seconds_ = 0;
   int resolves_ = 0;
 

@@ -18,6 +18,8 @@
 //     fresh one route for route, and carries exactly the pairs the rule
 //     in docs/DELTAS.md promises
 //   - bounded memory: a long warm-tier stream keeps no superseded spec
+//   - the digests apply_delta keeps between calls match a fresh hash of
+//     the current spec after every step of a seeded chain
 //   - two independent churn streams on concurrent threads (the
 //     `parallel` label puts this under the TSan job)
 #include <gtest/gtest.h>
@@ -25,6 +27,7 @@
 
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <variant>
@@ -661,6 +664,51 @@ TEST(RouteCarry, CarriedTableEqualsAFreshOneOnSeededStreams) {
     }
   }
   EXPECT_GT(carried_total, 0u);
+}
+
+TEST(DeltaSynthesis, KeptDigestsMatchAFreshHashAlongASeededChain) {
+  // apply_delta hashes only the post-delta spec and keeps its digests as
+  // the next call's pre-delta ones, so after every step they must equal
+  // a fresh hash of the current spec — on every tier, including the
+  // capped-probe rebuild (under a 50-conflict cap, warm and retract
+  // steps on the example fall back to it). The example already has a
+  // flow for every host pair, so the chain adds flows only inside
+  // multi-op deltas.
+  const std::vector<DeltaForm> forms = {
+      DeltaOpKind::kAddHost, DeltaOpKind::kRemoveHost,
+      DeltaOpKind::kFailLink, DeltaOpKind::kRestoreLink,
+      DeltaOpKind::kRemoveFlow, DeltaOpKind::kAddUic,
+      DeltaOpKind::kRemoveUic, DeltaOpKind::kRetune,
+      MultiOp::kReAddHost, MultiOp::kRelinkLink, MultiOp::kRandomOps};
+  for (const std::int64_t cap : {20000, 50}) {
+    synth::SynthesisOptions opts;
+    opts.backend = BackendKind::kMiniPb;
+    opts.retractable_sections = true;
+    opts.check_conflict_limit = cap;
+    synth::Synthesizer inc(
+        std::make_shared<const model::ProblemSpec>(make_example_spec()),
+        opts);
+    EXPECT_FALSE(inc.kept_digests().has_value());
+    util::Rng rng(static_cast<std::uint64_t>(91 + cap));
+    int next_host = 0;
+    std::set<std::string> tiers;
+    for (std::size_t step = 0; step < 2 * forms.size(); ++step) {
+      const SpecDelta delta =
+          draw_delta(inc.spec(), forms[step % forms.size()], rng, next_host);
+      const synth::DeltaApplyReport report = inc.apply_delta(delta);
+      tiers.insert(report.path + "/" + report.fallback_reason);
+      ASSERT_TRUE(inc.kept_digests().has_value());
+      EXPECT_EQ(*inc.kept_digests(), model::fingerprint_sections(inc.spec()))
+          << "step " << step << ": " << render_delta(delta);
+    }
+    if (cap == 50) {
+      EXPECT_TRUE(tiers.contains("full/capped-probe"));
+    } else {
+      EXPECT_TRUE(tiers.contains("warm/"));
+      EXPECT_TRUE(tiers.contains("retract/"));
+      EXPECT_TRUE(tiers.contains("full/flows-or-topology-dirty"));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------

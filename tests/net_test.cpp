@@ -574,6 +574,8 @@ TEST(TcpServer, HttpMetricsSharesThePort) {
             std::string::npos);
   EXPECT_NE(metrics.find("configsynth_net_http_requests 1"),
             std::string::npos);
+  // The one-off spec's solver was not pooled.
+  EXPECT_NE(metrics.find("configsynth_warm_declined 1"), std::string::npos);
 
   BlockingClient missing("127.0.0.1", server.port());
   missing.send_raw("GET /nope HTTP/1.1\r\n\r\n");

@@ -338,13 +338,21 @@ TEST_P(BackendServiceTest, WarmPoolServesRepeatSpecAtNewThresholds) {
   SynthService service(config);
   const auto spec = shared_example_spec();
 
+  // The pool admits only a shape that comes back: the shape's first
+  // request solves cold and its solver is declined.
+  (void)service.solve(feasibility_request(
+      spec, GetParam(), util::Fixed::from_int(0), util::Fixed::from_int(0),
+      spec->sliders.budget));
+  EXPECT_EQ(service.metrics().counter_value("warm_declined"), 1);
+  EXPECT_EQ(service.warm_pool_size(), 0u);
+
   const ServiceOutcome first = service.solve(feasibility_request(
       spec, GetParam(), spec->sliders.isolation, spec->sliders.usability,
       spec->sliders.budget));
   ASSERT_EQ(first.result.status, CheckResult::kSat);
   EXPECT_FALSE(first.result.warm);  // nothing parked yet: cold encode
-  EXPECT_EQ(service.metrics().counter_value("warm_misses"), 1);
-  EXPECT_EQ(service.warm_pool_size(), 1u);
+  EXPECT_EQ(service.metrics().counter_value("warm_misses"), 2);
+  EXPECT_EQ(service.warm_pool_size(), 1u);  // the shape came back
 
   // Different thresholds → different request fingerprint → cache miss,
   // but the same spec/backend/caps → warm-pool hit.
@@ -393,12 +401,20 @@ TEST(SynthServiceMiniPb, RetunedDeltaSpecIsPartialHitServedWarm) {
   ASSERT_EQ(first.result.status, CheckResult::kSat);
   EXPECT_EQ(service.metrics().counter_value("cache_partial_hits"), 0);
 
+  // The shape comes back once more (a partial hit), which admits its
+  // solver to the pool.
+  const auto nudged = std::make_shared<const model::ProblemSpec>(
+      model::apply_delta(*spec, model::parse_delta("retune,iso=1,usab=1")));
+  EXPECT_FALSE(service.solve(request_for(nudged)).result.warm);
+  EXPECT_EQ(service.metrics().counter_value("cache_partial_hits"), 1);
+  EXPECT_EQ(service.warm_pool_size(), 1u);
+
   const auto retuned = std::make_shared<const model::ProblemSpec>(
       model::apply_delta(
           *spec, model::parse_delta("retune,iso=2,usab=3,budget=55")));
   const ServiceOutcome second = service.solve(request_for(retuned));
   EXPECT_FALSE(second.cache_hit);
-  EXPECT_EQ(service.metrics().counter_value("cache_partial_hits"), 1);
+  EXPECT_EQ(service.metrics().counter_value("cache_partial_hits"), 2);
   EXPECT_TRUE(second.result.warm);
   EXPECT_EQ(second.result.encode_seconds, 0.0);
   EXPECT_EQ(service.metrics().counter_value("warm_hits"), 1);
@@ -434,16 +450,110 @@ TEST(SynthServiceMiniPb, WarmPoolEvictsFifoAtLimit) {
   config.warm_pool_limit = 2;
   SynthService service(config);
   // Three distinct specs → three distinct warm keys; the pool holds two.
+  // Each spec is requested twice (at its own thresholds, then at zero
+  // isolation), so each shape comes back and its solver is admitted.
   for (const std::uint64_t seed : {41u, 42u, 43u}) {
+    const auto spec = std::make_shared<const model::ProblemSpec>(
+        cs::testing::make_random_spec(seed, 4, 3));
+    for (const util::Fixed isolation :
+         {spec->sliders.isolation, util::Fixed::from_int(0)}) {
+      const ServiceOutcome out = service.solve(feasibility_request(
+          spec, BackendKind::kMiniPb, isolation, spec->sliders.usability,
+          spec->sliders.budget));
+      ASSERT_FALSE(out.rejected);
+    }
+  }
+  EXPECT_EQ(service.warm_pool_size(), 2u);
+  EXPECT_EQ(service.metrics().counter_value("warm_evictions"), 1);
+}
+
+/// A MiniPB feasibility solve of `spec` at the given isolation, zero
+/// usability and the spec's own budget.
+ServiceOutcome solve_at(SynthService& service,
+                        const std::shared_ptr<const model::ProblemSpec>& spec,
+                        int isolation) {
+  return service.solve(feasibility_request(
+      spec, BackendKind::kMiniPb, util::Fixed::from_int(isolation),
+      util::Fixed::from_int(0), spec->sliders.budget));
+}
+
+TEST(SynthServiceMiniPb, OneOffSpecsAreNeverPooled) {
+  // A stream whose shapes never repeat, like perfbench's serve_cold: every
+  // solver is destroyed with its request, so the pool stays empty and
+  // nothing is evicted.
+  ServiceConfig config;
+  config.workers = 1;
+  config.warm_pool_limit = 2;
+  SynthService service(config);
+  for (const std::uint64_t seed : {51u, 52u, 53u, 54u}) {
     const auto spec = std::make_shared<const model::ProblemSpec>(
         cs::testing::make_random_spec(seed, 4, 3));
     const ServiceOutcome out = service.solve(feasibility_request(
         spec, BackendKind::kMiniPb, spec->sliders.isolation,
         spec->sliders.usability, spec->sliders.budget));
     ASSERT_FALSE(out.rejected);
+    EXPECT_FALSE(out.result.warm);
+    EXPECT_EQ(service.warm_pool_size(), 0u);
   }
-  EXPECT_EQ(service.warm_pool_size(), 2u);
-  EXPECT_EQ(service.metrics().counter_value("warm_evictions"), 1);
+  EXPECT_EQ(service.metrics().counter_value("warm_declined"), 4);
+  EXPECT_EQ(service.metrics().counter_value("warm_misses"), 4);
+  EXPECT_EQ(service.metrics().counter_value("warm_evictions"), 0);
+  EXPECT_NE(service.metrics().render_prometheus().find(
+                "configsynth_warm_declined 4\n"),
+            std::string::npos);
+}
+
+TEST(SynthServiceMiniPb, ShapeIsAdmittedOnItsSecondRequest) {
+  // The admission trade-off: a new shape's first and second requests
+  // solve cold; the second one's solver is pooled, so the third is warm.
+  ServiceConfig config;
+  config.workers = 1;
+  SynthService service(config);
+  const auto spec = shared_example_spec();
+  EXPECT_FALSE(solve_at(service, spec, 0).result.warm);
+  EXPECT_EQ(service.warm_pool_size(), 0u);
+  EXPECT_EQ(service.metrics().counter_value("warm_declined"), 1);
+
+  // A partial hit: solved cold, then admitted.
+  EXPECT_FALSE(solve_at(service, spec, 1).result.warm);
+  EXPECT_EQ(service.metrics().counter_value("cache_partial_hits"), 1);
+  EXPECT_EQ(service.warm_pool_size(), 1u);
+
+  const ServiceOutcome third = solve_at(service, spec, 2);
+  EXPECT_TRUE(third.result.warm);
+  EXPECT_EQ(third.result.encode_seconds, 0.0);
+  EXPECT_EQ(service.warm_pool_size(), 1u);
+  EXPECT_EQ(service.metrics().counter_value("warm_declined"), 1);
+  EXPECT_EQ(service.metrics().counter_value("warm_hits"), 1);
+}
+
+TEST(SynthServiceMiniPb, WarmSolveIsReadmittedAfterItsShapeLeavesTheCache) {
+  // A one-entry cache forgets the shape as soon as another spec is
+  // solved; a solver checked out warm is re-admitted all the same.
+  ServiceConfig config;
+  config.workers = 1;
+  config.cache_capacity = 1;
+  SynthService service(config);
+  const auto spec = shared_example_spec();
+  (void)solve_at(service, spec, 0);  // declined
+  (void)solve_at(service, spec, 1);  // partial hit: admitted
+  ASSERT_EQ(service.warm_pool_size(), 1u);
+
+  const auto other = std::make_shared<const model::ProblemSpec>(
+      cs::testing::make_random_spec(61, 4, 3));
+  (void)service.solve(feasibility_request(
+      other, BackendKind::kMiniPb, other->sliders.isolation,
+      other->sliders.usability, other->sliders.budget));  // declined
+  EXPECT_EQ(service.metrics().counter_value("warm_declined"), 2);
+
+  // No partial hit any more, but the solver was checked out warm.
+  const ServiceOutcome warm = solve_at(service, spec, 2);
+  EXPECT_TRUE(warm.result.warm);
+  EXPECT_EQ(service.metrics().counter_value("cache_partial_hits"), 1);
+  EXPECT_EQ(service.warm_pool_size(), 1u);  // re-admitted
+  EXPECT_TRUE(solve_at(service, spec, 3).result.warm);
+  EXPECT_EQ(service.metrics().counter_value("warm_declined"), 2);
+  EXPECT_EQ(service.metrics().counter_value("warm_hits"), 2);
 }
 
 // ---- Admission control / deadlines / coalescing (MiniPB, TSan-covered) -----
