@@ -92,7 +92,8 @@ std::vector<std::string> render_lines(const std::string& spec_text,
   lines.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     net::WireRequest req;
-    req.id = "t" + std::to_string(thread_index) + "-" + std::to_string(i);
+    req.id = util::concat(
+        {"t", std::to_string(thread_index), "-", std::to_string(i)});
     req.spec_kind = net::SpecRefKind::kInline;
     req.spec = spec_text;
     req.point.objective = synth::SweepObjective::kFeasibility;

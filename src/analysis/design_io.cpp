@@ -30,7 +30,7 @@ void save_design(std::ostream& out, const synth::SecurityDesign& design) {
     std::string devices;
     for (const model::DeviceType d : model::kAllDevices) {
       if (design.placed(static_cast<topology::LinkId>(e), d))
-        devices += " " + std::to_string(model::paper_id(d));
+        devices.append(" ").append(std::to_string(model::paper_id(d)));
     }
     if (!devices.empty()) out << e << devices << "\n";
   }

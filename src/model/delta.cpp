@@ -1,8 +1,8 @@
 #include "model/delta.h"
 
 #include <algorithm>
-#include <variant>
 
+#include "model/subspec.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -10,12 +10,10 @@ namespace cs::model {
 
 namespace {
 
-using topology::LinkId;
+using topology::kInvalidNode;
 using topology::Network;
 using topology::NodeId;
 using topology::NodeKind;
-
-constexpr NodeId kDropped = -1;
 
 /// Names travel as single tokens of the space-free grammar, so the
 /// delimiters (and whitespace, which would split the cs-req-v1 line)
@@ -29,15 +27,15 @@ void require_name(const std::string& name, std::string_view what) {
 
 NodeId resolve_node(const Network& net, const std::string& name,
                     std::string_view what) {
-  NodeId found = kDropped;
+  NodeId found = kInvalidNode;
   for (const topology::Node& n : net.nodes()) {
     if (n.name != name) continue;
-    CS_REQUIRE(found == kDropped,
+    CS_REQUIRE(found == kInvalidNode,
                "delta: ambiguous " + std::string(what) + " name '" + name +
                    "' (multiple nodes share it)");
     found = n.id;
   }
-  CS_REQUIRE(found != kDropped,
+  CS_REQUIRE(found != kInvalidNode,
              "delta: unknown " + std::string(what) + " '" + name + "'");
   return found;
 }
@@ -89,130 +87,15 @@ UserConstraint resolve_uic(const ProblemSpec& spec,
   throw util::SpecError("delta: unknown uic form '" + form + "'");
 }
 
-/// True when the constraint references `flow` (flow-scoped forms only).
-bool references_flow(const UserConstraint& c, const Flow& flow) {
-  return std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, ForbidPatternForFlow> ||
-                      std::is_same_v<T, RequirePatternForFlow>) {
-          return v.flow == flow;
-        } else if constexpr (std::is_same_v<T, DenyOneOf>) {
-          return v.open_flow == flow || v.guard_flow == flow;
-        } else {
-          return false;
-        }
-      },
-      c);
-}
-
-/// Remaps node ids inside a constraint; returns false (drop it) when it
-/// references a removed node.
-bool remap_uic(UserConstraint& c, const std::vector<NodeId>& remap) {
-  const auto map_flow = [&](Flow& f) {
-    if (remap[static_cast<std::size_t>(f.src)] == kDropped ||
-        remap[static_cast<std::size_t>(f.dst)] == kDropped)
-      return false;
-    f.src = remap[static_cast<std::size_t>(f.src)];
-    f.dst = remap[static_cast<std::size_t>(f.dst)];
-    return true;
-  };
-  return std::visit(
-      [&](auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, ForbidPatternForFlow> ||
-                      std::is_same_v<T, RequirePatternForFlow>) {
-          return map_flow(v.flow);
-        } else if constexpr (std::is_same_v<T, DenyOneOf>) {
-          return map_flow(v.open_flow) && map_flow(v.guard_flow);
-        } else {
-          return true;
-        }
-      },
-      c);
-}
-
-/// Rebuilds flows / ranks / CRs / UICs / host requirements through a
-/// node-id remap (identity except removals), dropping `drop` (when
-/// non-null) and everything that cascades from a removal.
-void rebuild_workload(ProblemSpec& out, const std::vector<NodeId>& remap,
-                      const Flow* drop) {
-  const FlowSet old_flows = std::move(out.flows);
-  const FlowRanks old_ranks = std::move(out.ranks);
-  const ConnectivityRequirements old_crs = std::move(out.connectivity);
-
-  out.flows = FlowSet{};
-  out.connectivity = ConnectivityRequirements{};
-  std::vector<FlowId> flow_map(old_flows.size(), -1);
-  for (std::size_t i = 0; i < old_flows.size(); ++i) {
-    const Flow& f = old_flows.flow(static_cast<FlowId>(i));
-    if (drop != nullptr && f == *drop) continue;
-    const NodeId src = remap[static_cast<std::size_t>(f.src)];
-    const NodeId dst = remap[static_cast<std::size_t>(f.dst)];
-    if (src == kDropped || dst == kDropped) continue;
-    flow_map[i] = out.flows.add(Flow{src, dst, f.service});
-  }
-  out.ranks = FlowRanks::uniform(out.flows);
-  for (std::size_t i = 0; i < old_flows.size(); ++i) {
-    if (flow_map[i] != -1)
-      out.ranks.set(flow_map[i], old_ranks.rank(static_cast<FlowId>(i)));
-  }
-  for (const FlowId id : old_crs.sorted()) {
-    if (flow_map[static_cast<std::size_t>(id)] != -1)
-      out.connectivity.add(flow_map[static_cast<std::size_t>(id)]);
-  }
-
-  std::vector<UserConstraint> kept;
-  kept.reserve(out.user_constraints.size());
-  for (UserConstraint c : out.user_constraints) {
-    if (drop != nullptr && references_flow(c, *drop)) continue;
-    if (remap_uic(c, remap)) kept.push_back(std::move(c));
-  }
-  out.user_constraints = std::move(kept);
-
-  std::vector<HostIsolationRequirement> reqs;
-  reqs.reserve(out.host_requirements.size());
-  for (HostIsolationRequirement r : out.host_requirements) {
-    const NodeId host = remap[static_cast<std::size_t>(r.host)];
-    if (host == kDropped) continue;
-    r.host = host;
-    reqs.push_back(r);
-  }
-  out.host_requirements = std::move(reqs);
-}
-
-/// Copies `net` minus one node and/or one link, writing the old→new node
-/// id map into `remap`.
-Network rebuild_network(const Network& net, NodeId drop_node,
-                        LinkId drop_link, std::vector<NodeId>& remap) {
-  Network nn;
-  remap.assign(net.node_count(), kDropped);
-  for (const topology::Node& n : net.nodes()) {
-    if (n.id == drop_node) continue;
-    NodeId nid;
-    if (n.kind == NodeKind::kRouter) {
-      nid = nn.add_router(n.name);
-    } else if (n.is_internet) {
-      nid = nn.add_internet(n.name);
-    } else {
-      nid = nn.add_host(n.name, n.group_size);
-    }
-    remap[static_cast<std::size_t>(n.id)] = nid;
-  }
-  for (const topology::Link& l : net.links()) {
-    if (l.id == drop_link) continue;
-    if (l.a == drop_node || l.b == drop_node) continue;
-    nn.add_link(remap[static_cast<std::size_t>(l.a)],
-                remap[static_cast<std::size_t>(l.b)]);
-  }
-  return nn;
-}
-
-std::vector<NodeId> identity_remap(const Network& net) {
-  std::vector<NodeId> remap(net.node_count());
-  for (std::size_t i = 0; i < remap.size(); ++i)
-    remap[i] = static_cast<NodeId>(i);
-  return remap;
+/// Every node of `net` except `drop`, in ascending id order: the keep
+/// set of a removal, which restricts the whole spec (model/subspec.h).
+std::vector<NodeId> nodes_except(const Network& net,
+                                 NodeId drop = kInvalidNode) {
+  std::vector<NodeId> keep;
+  keep.reserve(net.node_count());
+  for (const topology::Node& n : net.nodes())
+    if (n.id != drop) keep.push_back(n.id);
+  return keep;
 }
 
 void apply_op(ProblemSpec& out, const DeltaOp& op) {
@@ -235,10 +118,7 @@ void apply_op(ProblemSpec& out, const DeltaOp& op) {
       const NodeId victim = resolve_node(out.network, op.a, "host");
       CS_REQUIRE(out.network.is_host(victim),
                  "delta: remove-host target '" + op.a + "' is not a host");
-      std::vector<NodeId> remap;
-      out.network = rebuild_network(out.network, victim, /*drop_link=*/-1,
-                                    remap);
-      rebuild_workload(out, remap, /*drop=*/nullptr);
+      out = project_spec(out, nodes_except(out.network, victim)).spec;
       return;
     }
     case DeltaOpKind::kFailLink: {
@@ -247,13 +127,10 @@ void apply_op(ProblemSpec& out, const DeltaOp& op) {
       const auto link = out.network.find_link(a, b);
       CS_REQUIRE(link.has_value(), "delta: fail-link: no link between '" +
                                        op.a + "' and '" + op.b + "'");
-      std::vector<NodeId> remap;
-      Network next = rebuild_network(out.network, /*drop_node=*/-1, *link,
-                                     remap);
-      CS_REQUIRE(next.connected(),
+      out = project_spec(out, nodes_except(out.network), *link).spec;
+      CS_REQUIRE(out.network.connected(),
                  "delta: fail-link between '" + op.a + "' and '" + op.b +
                      "' would disconnect the network");
-      out.network = std::move(next);  // node ids are unchanged
       return;
     }
     case DeltaOpKind::kRestoreLink: {
@@ -280,7 +157,8 @@ void apply_op(ProblemSpec& out, const DeltaOp& op) {
       const Flow f = resolve_flow(out, op.a, op.b, op.service);
       CS_REQUIRE(out.flows.find(f).has_value(),
                  "delta: remove-flow: no such flow");
-      rebuild_workload(out, identity_remap(out.network), &f);
+      out = project_spec(out, nodes_except(out.network), std::nullopt, f)
+                .spec;
       return;
     }
     case DeltaOpKind::kAddUic: {

@@ -37,7 +37,8 @@
 // host drops its flows, their connectivity requirements, any UIC
 // referencing those flows, and the host's isolation requirement;
 // removing a flow drops its CR and referencing UICs. `fail-link` must
-// not disconnect the network (spec validation rejects the delta).
+// not disconnect the network. All three removals are restrictions of
+// the whole spec through model::project_spec (model/subspec.h).
 #pragma once
 
 #include <optional>

@@ -131,10 +131,10 @@ ProblemSpec parse_input(std::istream& in) {
       static_cast<std::size_t>(hosts + routers) + 1, topology::kInvalidNode);
   for (long long h = 1; h <= hosts; ++h)
     node_of[static_cast<std::size_t>(h)] =
-        spec.network.add_host("h" + std::to_string(h));
+        spec.network.add_host(util::concat({"h", std::to_string(h)}));
   for (long long rt = 1; rt <= routers; ++rt)
     node_of[static_cast<std::size_t>(hosts + rt)] =
-        spec.network.add_router("r" + std::to_string(rt));
+        spec.network.add_router(util::concat({"r", std::to_string(rt)}));
 
   // 6. Links.
   const long long links = r.next_int("number of links");

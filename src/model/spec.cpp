@@ -4,6 +4,7 @@
 #include <string>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace cs::model {
 
@@ -100,7 +101,8 @@ void populate_random_workload(ProblemSpec& spec, const WorkloadConfig& config,
              "workload: cr fraction must lie in [0, 1]");
 
   for (int s = 0; s < config.service_count; ++s)
-    spec.services.add("g" + std::to_string(s + 1), 6, 1024 + s);
+    spec.services.add(util::concat({"g", std::to_string(s + 1)}), 6,
+                      1024 + s);
 
   // Flows: for each ordered host pair, draw 1..max services (paper §V:
   // "randomly choose 1-3 services between a pair of hosts").

@@ -9,7 +9,9 @@
 namespace cs::model {
 
 SpecProjection project_spec(const ProblemSpec& spec,
-                            std::vector<topology::NodeId> keep_nodes) {
+                            std::vector<topology::NodeId> keep_nodes,
+                            std::optional<topology::LinkId> drop_link,
+                            std::optional<Flow> drop_flow) {
   CS_REQUIRE(spec.ranks.size() == spec.flows.size(),
              "project_spec requires a finalized spec (call finalize())");
   std::sort(keep_nodes.begin(), keep_nodes.end());
@@ -37,7 +39,9 @@ SpecProjection project_spec(const ProblemSpec& spec,
   for (const topology::Link& l : net.links()) {
     const topology::NodeId a = local[static_cast<std::size_t>(l.a)];
     const topology::NodeId b = local[static_cast<std::size_t>(l.b)];
-    if (a == topology::kInvalidNode || b == topology::kInvalidNode) continue;
+    if (a == topology::kInvalidNode || b == topology::kInvalidNode ||
+        l.id == drop_link)
+      continue;
     out.spec.network.add_link(a, b);
     out.links.push_back(l.id);
   }
@@ -51,10 +55,13 @@ SpecProjection project_spec(const ProblemSpec& spec,
   out.spec.alpha = spec.alpha;
   out.spec.route_options = spec.route_options;
 
+  // A flow survives iff both endpoints do and it is not the dropped one;
+  // flow-scoped constraints live and die with their flows.
   const auto remap_flow = [&](const Flow& f) -> std::optional<Flow> {
     const topology::NodeId src = local[static_cast<std::size_t>(f.src)];
     const topology::NodeId dst = local[static_cast<std::size_t>(f.dst)];
-    if (src == topology::kInvalidNode || dst == topology::kInvalidNode)
+    if (src == topology::kInvalidNode || dst == topology::kInvalidNode ||
+        f == drop_flow)
       return std::nullopt;
     return Flow{src, dst, f.service};
   };
@@ -103,8 +110,6 @@ SpecProjection project_spec(const ProblemSpec& spec,
     out.spec.host_requirements.push_back(
         HostIsolationRequirement{h, hr.min_isolation});
   }
-
-  out.sub_digest = fingerprint_spec(out.spec);
   return out;
 }
 

@@ -22,6 +22,15 @@ namespace cs::net {
 
 namespace {
 
+/// Per-connection in-flight request cap (read interest is dropped at the
+/// cap — TCP backpressure, not buffering).
+constexpr std::size_t kMaxPipeline = 128;
+/// Per-connection input/output buffer cap; beyond it the connection is
+/// answered with an error and closed.
+constexpr std::size_t kMaxBufferBytes = 1 << 20;
+/// Distinct parsed specs kept for `file:`/`inline:` reuse.
+constexpr std::size_t kSpecCacheLimit = 64;
+
 /// Rejects `file:` references that could escape the spec root.
 void require_confined(const std::string& path) {
   CS_REQUIRE(!path.empty() && path[0] != '/',
@@ -180,7 +189,7 @@ void TcpServer::on_io(const std::shared_ptr<Connection>& conn,
       const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
       if (n > 0) {
         conn->inbuf.append(buf, static_cast<std::size_t>(n));
-        if (conn->inbuf.size() > config_.max_buffer_bytes) {
+        if (conn->inbuf.size() > kMaxBufferBytes) {
           metrics().counter("net_protocol_errors").inc();
           send_response(conn, RequestCodec::error_response(
                                   "-", "input buffer limit exceeded"));
@@ -222,7 +231,7 @@ void TcpServer::process_input(const std::shared_ptr<Connection>& conn) {
     return;
   }
   while (!conn->close_after_flush && !draining_ &&
-         conn->inflight < config_.max_pipeline) {
+         conn->inflight < kMaxPipeline) {
     const std::size_t nl = conn->inbuf.find('\n');
     std::string line;
     if (nl != std::string::npos) {
@@ -399,7 +408,7 @@ std::shared_ptr<const model::ProblemSpec> TcpServer::resolve_spec(
     spec = std::make_shared<const model::ProblemSpec>(
         model::parse_input_file(config_.spec_root + "/" + request.spec));
   }
-  if (spec_cache_.size() >= config_.spec_cache_limit) spec_cache_.clear();
+  if (spec_cache_.size() >= kSpecCacheLimit) spec_cache_.clear();
   spec_cache_.emplace(key, spec);
   conn.last_spec = spec;
   return spec;
@@ -417,7 +426,7 @@ void TcpServer::send_line(const std::shared_ptr<Connection>& conn,
   conn->outbuf += line;
   conn->outbuf += '\n';
   flush_out(conn);
-  if (conn->fd >= 0 && conn->outbuf.size() > config_.max_buffer_bytes) {
+  if (conn->fd >= 0 && conn->outbuf.size() > kMaxBufferBytes) {
     // Slow reader: shedding beats unbounded buffering.
     metrics().counter("net_slow_reader_closes").inc();
     close_conn(conn);
@@ -444,7 +453,7 @@ void TcpServer::update_interest(const std::shared_ptr<Connection>& conn) {
   if (conn->fd < 0) return;
   const bool want_read = !conn->eof && !conn->close_after_flush &&
                          !draining_ &&
-                         conn->inflight < config_.max_pipeline;
+                         conn->inflight < kMaxPipeline;
   const std::uint32_t events = (want_read ? EPOLLIN : 0u) |
                                (conn->outbuf.empty() ? 0u : EPOLLOUT);
   if (events != conn->events) {

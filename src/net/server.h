@@ -11,13 +11,13 @@
 //
 // Backpressure is bounded at every stage — the server never buffers
 // without limit:
-//   * per-connection pipeline: at most `max_pipeline` requests in
+//   * per-connection pipeline: at most kMaxPipeline (128) requests in
 //     flight; beyond it the connection's read interest is dropped until
 //     responses drain (TCP flow control pushes back on the client);
 //   * service queue: submissions past ServiceConfig::queue_limit get a
 //     deterministic `status=rejected reject=queue-full` response;
 //   * buffers: a connection whose input or output buffer exceeds
-//     `max_buffer_bytes` is answered with an error and closed.
+//     kMaxBufferBytes (1 MiB) is answered with an error and closed.
 //
 // The same port also answers plain HTTP/1.1 (sniffed from the first
 // bytes): `GET /metrics` serves the MetricsRegistry in Prometheus text
@@ -55,17 +55,9 @@ struct ServerConfig {
   /// Base directory for `file:` spec references; requests must stay
   /// inside it (no absolute paths, no "..").
   std::string spec_root = ".";
-  /// Per-connection in-flight request cap (read interest is dropped at
-  /// the cap — TCP backpressure, not buffering).
-  std::size_t max_pipeline = 128;
-  /// Per-connection input/output buffer cap; beyond it the connection
-  /// is answered with an error and closed.
-  std::size_t max_buffer_bytes = 1 << 20;
   /// Simultaneous connections; excess accepts are answered with an
   /// error line and closed immediately.
   std::size_t max_connections = 1024;
-  /// Distinct parsed specs kept for `file:`/`inline:` reuse.
-  std::size_t spec_cache_limit = 64;
   service::ServiceConfig service;
   /// Solver options applied to every wire request (the wire carries
   /// objective/thresholds/deadline; backend and caps are server policy).

@@ -91,20 +91,14 @@ model::Fingerprint SynthService::warm_fingerprint(
 SynthService::WarmEntry SynthService::warm_checkout(
     const model::Fingerprint& key) {
   std::lock_guard<std::mutex> lock(warm_mutex_);
-  const auto it = warm_pool_.find(key);
-  if (it == warm_pool_.end() || it->second.empty()) return {};
-  WarmEntry entry = std::move(it->second.back());
-  it->second.pop_back();
-  if (it->second.empty()) warm_pool_.erase(it);
-  // Drop one matching ticket from the eviction queue (newest first, to
-  // pair with the LIFO checkout above).
-  for (auto rit = warm_order_.rbegin(); rit != warm_order_.rend(); ++rit) {
-    if (*rit == key) {
-      warm_order_.erase(std::next(rit).base());
-      break;
-    }
+  // Newest entry with the key first: checkout is LIFO per key.
+  for (auto it = warm_pool_.rbegin(); it != warm_pool_.rend(); ++it) {
+    if (it->first != key) continue;
+    WarmEntry entry = std::move(it->second);
+    warm_pool_.erase(std::next(it).base());
+    return entry;
   }
-  return entry;
+  return {};
 }
 
 void SynthService::warm_checkin(const model::Fingerprint& key,
@@ -114,24 +108,17 @@ void SynthService::warm_checkin(const model::Fingerprint& key,
   // destroyed after it is released and no checkout waits on them.
   std::vector<WarmEntry> victims;
   std::lock_guard<std::mutex> lock(warm_mutex_);
-  while (warm_order_.size() >= config_.warm_pool_limit) {
-    const model::Fingerprint victim = warm_order_.front();
-    warm_order_.erase(warm_order_.begin());
-    const auto it = warm_pool_.find(victim);
-    if (it != warm_pool_.end() && !it->second.empty()) {
-      victims.push_back(std::move(it->second.front()));  // oldest of key
-      it->second.erase(it->second.begin());
-      if (it->second.empty()) warm_pool_.erase(it);
-      metrics_.counter("warm_evictions").inc();
-    }
+  while (warm_pool_.size() >= config_.warm_pool_limit) {
+    victims.push_back(std::move(warm_pool_.front().second));
+    warm_pool_.erase(warm_pool_.begin());
+    metrics_.counter("warm_evictions").inc();
   }
-  warm_pool_[key].push_back(std::move(entry));
-  warm_order_.push_back(key);
+  warm_pool_.emplace_back(key, std::move(entry));
 }
 
 std::size_t SynthService::warm_pool_size() const {
   std::lock_guard<std::mutex> lock(warm_mutex_);
-  return warm_order_.size();
+  return warm_pool_.size();
 }
 
 std::future<ServiceOutcome> SynthService::submit(ServiceRequest request) {

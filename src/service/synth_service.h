@@ -37,8 +37,10 @@
 //     stream of one-off specs parks nothing and evicts nothing. The
 //     price: a new shape's second request still solves cold (its solver
 //     is the one admitted), and its third is the first warm one.
-//     Past `warm_pool_limit` the oldest entry is evicted FIFO; victims
-//     are destroyed after the pool lock is released.
+//     The pool is one list in check-in order: checkout takes the newest
+//     entry with the request's key, and past `warm_pool_limit` the
+//     oldest entry is evicted FIFO; victims are destroyed after the pool
+//     lock is released.
 //     Checkout removes the entry from the pool, so a warm synthesizer is
 //     never shared between workers; solve_sweep_point_on re-applies the
 //     per-request caps on every solve. With the pool off (or on a miss)
@@ -64,6 +66,7 @@
 #include <mutex>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "model/fingerprint.h"
@@ -252,12 +255,10 @@ class SynthService {
   /// cache lookup → solve → retry) across its lifecycle.
   std::atomic<std::uint64_t> next_request_id_{1};
 
-  mutable std::mutex warm_mutex_;  // guards warm_pool_ and warm_order_
-  std::unordered_map<model::Fingerprint, std::vector<WarmEntry>,
-                     model::FingerprintHash>
-      warm_pool_;
-  /// Check-in order of parked entries (FIFO eviction queue).
-  std::vector<model::Fingerprint> warm_order_;
+  mutable std::mutex warm_mutex_;  // guards warm_pool_
+  /// Parked entries with their warm keys, in check-in order (the front
+  /// is the next eviction victim).
+  std::vector<std::pair<model::Fingerprint, WarmEntry>> warm_pool_;
 
   std::mutex mutex_;  // guards queued_ and inflight_
   std::size_t queued_ = 0;

@@ -51,10 +51,10 @@ ShardPlan plan_shards(const model::ProblemSpec& spec,
     }
     region.trivial =
         sub.flows.empty() || sub.network.host_count() < 2;
-    // The budget rewrite changed the spec; re-digest so sub_digest stays
-    // the canonical digest of the problem the region solver actually sees.
-    region.projection.sub_digest = model::fingerprint_spec(sub);
-    plan_hash.mix_digest(region.projection.sub_digest);
+    // Digested after the budget rewrite, so sub_digest is the canonical
+    // digest of the problem the region solver actually sees.
+    region.sub_digest = model::fingerprint_spec(sub);
+    plan_hash.mix_digest(region.sub_digest);
     plan.regions.push_back(std::move(region));
   }
   plan.plan_digest = plan_hash.digest();

@@ -31,9 +31,11 @@ struct ShardPlannerOptions {
 
 struct RegionPlan {
   int index = 0;
-  /// Region sub-spec plus local->global id maps and its cs-spec-v1
-  /// sub-digest.
+  /// Region sub-spec plus local->global id maps.
   model::SpecProjection projection;
+  /// cs-spec-v1 digest of the region sub-spec as the region solver sees
+  /// it (after the budget rewrite).
+  model::Fingerprint sub_digest;
   /// True when the region needs no solver (no flows / fewer than two
   /// hosts): its contribution to the global design is empty.
   bool trivial = false;

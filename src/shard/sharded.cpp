@@ -27,7 +27,7 @@ void solve_region(const RegionPlan& region,
   outcome.trivial = region.trivial;
   outcome.hosts = region.projection.spec.network.host_count();
   outcome.flows = region.projection.spec.flows.size();
-  outcome.sub_digest = region.projection.sub_digest;
+  outcome.sub_digest = region.sub_digest;
   if (region.trivial) {
     // No flows to decide: the empty design satisfies the region
     // vacuously (and is not a valid solver input — validate() rejects

@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/fixed.h"
+#include "util/strings.h"
 
 namespace cs::smt {
 
@@ -82,8 +83,8 @@ Z3Backend::Z3Backend() : solver_(ctx_, "QF_FD") {}
 BoolVar Z3Backend::new_bool(const std::string& name) {
   const BoolVar id = static_cast<BoolVar>(vars_.size());
   const std::string unique =
-      name.empty() ? ("b" + std::to_string(id))
-                   : (name + "#" + std::to_string(id));
+      name.empty() ? util::concat({"b", std::to_string(id)})
+                   : util::concat({name, "#", std::to_string(id)});
   vars_.push_back(ctx_.bool_const(unique.c_str()));
   var_by_ast_id_.emplace(Z3_get_ast_id(ctx_, vars_.back()), id);
   return id;

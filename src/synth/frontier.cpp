@@ -89,7 +89,7 @@ std::string render_frontier(const std::vector<FrontierPoint>& points) {
   for (auto& [floor, row] : rows) {
     (void)floor;
     for (std::string& cell : row)
-      if (cell.empty()) cell = "-";
+      if (cell.empty()) cell += '-';
     table.add_row(row);
   }
   return table.render();

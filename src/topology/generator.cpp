@@ -3,6 +3,8 @@
 #include <string>
 #include <vector>
 
+#include "util/strings.h"
+
 namespace cs::topology {
 
 Network generate_topology(const GeneratorConfig& config, util::Rng& rng) {
@@ -15,7 +17,8 @@ Network generate_topology(const GeneratorConfig& config, util::Rng& rng) {
   std::vector<NodeId> routers;
   routers.reserve(static_cast<std::size_t>(config.routers));
   for (int r = 0; r < config.routers; ++r)
-    routers.push_back(net.add_router("r" + std::to_string(r + 1)));
+    routers.push_back(
+        net.add_router(util::concat({"r", std::to_string(r + 1)})));
 
   // Random spanning tree over routers: attach each new router to a random
   // earlier one (uniform random recursive tree).
@@ -42,7 +45,8 @@ Network generate_topology(const GeneratorConfig& config, util::Rng& rng) {
 
   // Hosts attach to edge routers.
   for (int h = 0; h < config.hosts; ++h) {
-    const NodeId host = net.add_host("h" + std::to_string(h + 1));
+    const NodeId host =
+        net.add_host(util::concat({"h", std::to_string(h + 1)}));
     const NodeId uplink = rng.pick(routers);
     net.add_link(host, uplink);
     if (config.routers >= 2 && rng.chance(config.dual_homing_prob)) {
@@ -69,7 +73,7 @@ Network make_paper_example() {
   std::vector<NodeId> r;
   r.push_back(kInvalidNode);  // 1-based indexing convenience
   for (int i = 1; i <= 8; ++i)
-    r.push_back(net.add_router("r" + std::to_string(i)));
+    r.push_back(net.add_router(util::concat({"r", std::to_string(i)})));
   net.add_link(r[1], r[2]);
   net.add_link(r[2], r[3]);
   net.add_link(r[3], r[4]);
@@ -86,7 +90,7 @@ Network make_paper_example() {
   std::vector<NodeId> h;
   h.push_back(kInvalidNode);
   for (int i = 1; i <= 10; ++i)
-    h.push_back(net.add_host("h" + std::to_string(i)));
+    h.push_back(net.add_host(util::concat({"h", std::to_string(i)})));
   net.add_link(h[1], r[5]);
   net.add_link(h[2], r[5]);
   net.add_link(h[3], r[6]);

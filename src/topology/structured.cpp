@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace cs::topology {
 namespace {
@@ -20,7 +21,8 @@ void attach_hosts_in_blocks(Network& net, const std::vector<NodeId>& switches,
   for (int h = 0; h < hosts; ++h) {
     const auto sw = static_cast<std::size_t>(
         static_cast<long long>(h) * count / std::max(1, hosts));
-    const NodeId id = net.add_host("h" + std::to_string(h + 1));
+    const NodeId id =
+        net.add_host(util::concat({"h", std::to_string(h + 1)}));
     net.add_link(id, switches[std::min<std::size_t>(sw, switches.size() - 1)]);
   }
 }
@@ -63,23 +65,26 @@ Network make_fat_tree(const FatTreeConfig& config) {
   std::vector<NodeId> cores;
   cores.reserve(static_cast<std::size_t>(half) * half);
   for (int c = 0; c < half * half; ++c)
-    cores.push_back(net.add_router("c" + std::to_string(c + 1)));
+    cores.push_back(
+        net.add_router(util::concat({"c", std::to_string(c + 1)})));
 
   std::vector<NodeId> edges;
   edges.reserve(static_cast<std::size_t>(k) * half);
   for (int p = 0; p < k; ++p) {
-    const std::string pod = "p" + std::to_string(p + 1);
+    const std::string pod = util::concat({"p", std::to_string(p + 1)});
     std::vector<NodeId> aggs;
     aggs.reserve(half);
     for (int a = 0; a < half; ++a) {
-      const NodeId agg = net.add_router(pod + "a" + std::to_string(a + 1));
+      const NodeId agg = net.add_router(
+          util::concat({pod, "a", std::to_string(a + 1)}));
       aggs.push_back(agg);
       // Aggregation slot a uplinks to core group a.
       for (int c = 0; c < half; ++c)
         net.add_link(agg, cores[static_cast<std::size_t>(a) * half + c]);
     }
     for (int e = 0; e < half; ++e) {
-      const NodeId edge = net.add_router(pod + "e" + std::to_string(e + 1));
+      const NodeId edge = net.add_router(
+          util::concat({pod, "e", std::to_string(e + 1)}));
       edges.push_back(edge);
       for (const NodeId agg : aggs) net.add_link(edge, agg);
     }
@@ -101,7 +106,8 @@ Network make_campus(const CampusConfig& config) {
   std::vector<NodeId> cores;
   cores.reserve(config.cores);
   for (int c = 0; c < config.cores; ++c)
-    cores.push_back(net.add_router("core" + std::to_string(c + 1)));
+    cores.push_back(
+        net.add_router(util::concat({"core", std::to_string(c + 1)})));
   // Core ring (a single link when cores == 2, nothing when cores == 1).
   if (config.cores == 2) {
     net.add_link(cores[0], cores[1]);
@@ -114,14 +120,15 @@ Network make_campus(const CampusConfig& config) {
   access.reserve(static_cast<std::size_t>(config.buildings) *
                  config.access_per_building);
   for (int b = 0; b < config.buildings; ++b) {
-    const std::string bld = "b" + std::to_string(b + 1);
+    const std::string bld = util::concat({"b", std::to_string(b + 1)});
     const NodeId dist = net.add_router(bld + "d");
     // Dual-home each distribution router to two (distinct, when possible)
     // cores.
     net.add_link(dist, cores[b % config.cores]);
     if (config.cores > 1) net.add_link(dist, cores[(b + 1) % config.cores]);
     for (int a = 0; a < config.access_per_building; ++a) {
-      const NodeId acc = net.add_router(bld + "a" + std::to_string(a + 1));
+      const NodeId acc = net.add_router(
+          util::concat({bld, "a", std::to_string(a + 1)}));
       net.add_link(acc, dist);
       access.push_back(acc);
     }
@@ -147,7 +154,8 @@ Network make_isp(const IspConfig& config) {
   std::vector<NodeId> backbone;
   backbone.reserve(config.core);
   for (int c = 0; c < config.core; ++c)
-    backbone.push_back(net.add_router("bb" + std::to_string(c + 1)));
+    backbone.push_back(
+        net.add_router(util::concat({"bb", std::to_string(c + 1)})));
   for (int a = 0; a < config.core; ++a)
     for (int b = a + 1; b < config.core; ++b)
       net.add_link(backbone[a], backbone[b]);
@@ -155,7 +163,8 @@ Network make_isp(const IspConfig& config) {
   std::vector<NodeId> aggs;
   aggs.reserve(config.aggregation);
   for (int a = 0; a < config.aggregation; ++a) {
-    const NodeId agg = net.add_router("agg" + std::to_string(a + 1));
+    const NodeId agg =
+        net.add_router(util::concat({"agg", std::to_string(a + 1)}));
     aggs.push_back(agg);
     net.add_link(agg, backbone[a % config.core]);
     if (config.core > 1) net.add_link(agg, backbone[(a + 1) % config.core]);
@@ -164,7 +173,8 @@ Network make_isp(const IspConfig& config) {
   std::vector<NodeId> edges;
   edges.reserve(config.edge);
   for (int e = 0; e < config.edge; ++e) {
-    const NodeId edge = net.add_router("e" + std::to_string(e + 1));
+    const NodeId edge =
+        net.add_router(util::concat({"e", std::to_string(e + 1)}));
     edges.push_back(edge);
     net.add_link(edge, aggs[e % config.aggregation]);
     if (config.aggregation > 1)

@@ -47,6 +47,12 @@ std::string trim(std::string_view text) {
   return std::string(text.substr(b, e - b));
 }
 
+std::string concat(std::initializer_list<std::string_view> parts) {
+  std::string out;
+  for (const std::string_view part : parts) out += part;
+  return out;
+}
+
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
   for (std::size_t i = 0; i < parts.size(); ++i) {

@@ -1,6 +1,7 @@
 // Small string helpers used by the input-file parser and report renderers.
 #pragma once
 
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +18,11 @@ std::vector<std::string> split_ws(std::string_view text);
 
 /// Strips leading/trailing whitespace.
 std::string trim(std::string_view text);
+
+/// Concatenates `parts` by appending. Use it to build names and labels
+/// instead of `"lit" + std::string` temporaries, which GCC 12's
+/// -Wrestrict misreports in optimized builds.
+std::string concat(std::initializer_list<std::string_view> parts);
 
 /// Joins the elements with a separator.
 std::string join(const std::vector<std::string>& parts,

@@ -8,7 +8,8 @@
 //     exactly one spelling per delta)
 //   - transactional apply: a failing op leaves the input spec — and a
 //     live Synthesizer — byte-identical (same cs-spec-v1 digest)
-//   - cascade semantics of remove-host / remove-flow
+//   - cascade semantics of remove-host / remove-flow (a removed flow
+//     takes exactly the policy that names it)
 //   - sub-digest sensitivity: each op class moves exactly the
 //     fingerprint sections docs/DELTAS.md says it moves
 //   - the incremental-verdict contract: every apply_delta tier returns
@@ -228,6 +229,41 @@ TEST(DeltaApply, RemoveFlowCascades) {
   EXPECT_EQ(post.flows.size(), 89u);
   EXPECT_EQ(post.connectivity.sorted().size(), 6u);
   EXPECT_TRUE(post.user_constraints.empty());
+}
+
+TEST(DeltaApply, RemoveFlowKeepsThePairsOtherService) {
+  // h1 -> h2 carries svc and, after the add-flow, db. Removing the db
+  // flow takes its CR and every UIC that names it; a UIC naming the
+  // pair's svc flow and a service-scoped UIC survive.
+  model::ProblemSpec base = make_example_spec();
+  const model::ServiceId db = base.services.add("db");
+  const model::ProblemSpec spec = apply_delta(
+      base, delta_of("add-flow,h1,h2,db,cr;"
+                     "add-uic,forbid-flow,h1,h2,db,proxy;"
+                     "add-uic,require-flow,h1,h2,db,payload-inspection;"
+                     "add-uic,deny-one-of,h3,h4,svc,h1,h2,db;"
+                     "add-uic,forbid-flow,h1,h2,svc,trusted-comm;"
+                     "add-uic,deny-one-of,h1,h2,db,h3,h4,svc;"
+                     "add-uic,forbid-service,db,proxy"));
+  ASSERT_EQ(spec.flows.size(), 91u);
+  ASSERT_EQ(spec.connectivity.size(), 8u);
+
+  const model::ProblemSpec post =
+      apply_delta(spec, delta_of("remove-flow,h1,h2,db"));
+  const auto& hosts = post.network.hosts();
+  const model::Flow svc_flow{hosts[0], hosts[1], *post.services.find("svc")};
+  EXPECT_EQ(post.flows.size(), 90u);
+  EXPECT_FALSE(post.flows.find(model::Flow{hosts[0], hosts[1], db})
+                   .has_value());
+  EXPECT_TRUE(post.flows.find(svc_flow).has_value());
+  // Only the db flow's CR goes: the example's seven remain, same ids.
+  EXPECT_EQ(post.connectivity.sorted(),
+            make_example_spec().connectivity.sorted());
+  const std::vector<model::UserConstraint> kept{
+      model::ForbidPatternForFlow{svc_flow,
+                                  model::IsolationPattern::kTrustedComm},
+      model::ForbidPatternForService{db, model::IsolationPattern::kProxy}};
+  EXPECT_EQ(post.user_constraints, kept);
 }
 
 // ---------------------------------------------------------------------

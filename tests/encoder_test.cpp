@@ -8,6 +8,7 @@
 #include "synth/metrics.h"
 #include "synth/synthesizer.h"
 #include "topology/generator.h"
+#include "util/strings.h"
 
 namespace cs::synth {
 namespace {
@@ -39,7 +40,8 @@ model::ProblemSpec chain_spec() {
   topology::NodeId prev = spec.network.add_router("r1");
   spec.network.add_link(h1, prev);
   for (int i = 2; i <= 4; ++i) {
-    const topology::NodeId r = spec.network.add_router("r" + std::to_string(i));
+    const topology::NodeId r =
+        spec.network.add_router(util::concat({"r", std::to_string(i)}));
     spec.network.add_link(prev, r);
     prev = r;
   }

@@ -36,6 +36,7 @@
 #include "net/request_codec.h"
 #include "spec_helpers.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace cs::net {
 namespace {
@@ -257,8 +258,8 @@ TEST(TcpServer, KeepAliveConcurrentClientsPairResponsesById) {
       for (int i = 0; i < kRequests; ++i) {
         // One keep-alive connection per client, closed loop; every
         // request has a distinct key (and a distinct id).
-        const std::string id =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+        const std::string id = util::concat(
+            {"c", std::to_string(c), "-", std::to_string(i)});
         client.send_line(request_line(id, c * kRequests + i + 1));
         const WireResponse resp = recv_response(client);
         EXPECT_EQ(resp.id, id);
@@ -279,7 +280,7 @@ TEST(TcpServer, PipelinedRequestsAnswerEveryId) {
   std::set<std::string> want;
   std::string batch;
   for (int i = 0; i < 8; ++i) {
-    const std::string id = "p" + std::to_string(i);
+    const std::string id = util::concat({"p", std::to_string(i)});
     want.insert(id);
     batch += request_line(id, 100 + i);
     batch += "\n";

@@ -4,8 +4,9 @@
 //     (a fat-tree defeats nearest-seed assignment; the host-weighted BFS
 //     growth must keep every region populated);
 //   * plan_shards / project_spec — flows survive iff both endpoints do,
-//     id maps lift back to the parent spec, budget shares never exceed
-//     the global budget;
+//     user constraints iff the flows they name do, host requirements iff
+//     the host does; id maps lift back to the parent spec, budget shares
+//     never exceed the global budget;
 //   * ShardedSynthesizer — the verdict contract (sharded == monolithic
 //     on SAT and UNSAT inputs), stitched designs passing the global
 //     checker, byte-identical results at any --jobs value, trivial
@@ -188,6 +189,83 @@ TEST(PlannerTest, ProjectionKeepsExactlyTheIntraRegionFlows) {
     const model::Flow& flow = spec.flows.flow(f);
     EXPECT_NE(plan.partition.region_of[static_cast<std::size_t>(flow.src)],
               plan.partition.region_of[static_cast<std::size_t>(flow.dst)]);
+  }
+}
+
+TEST(PlannerTest, ProjectionKeepsThePolicyOverWhatSurvives) {
+  model::ProblemSpec spec = make_campus_spec(24);
+  const Partition part = partition_topology(spec.network, 3);
+  const auto region_of = [&](topology::NodeId n) {
+    return part.region_of[static_cast<std::size_t>(n)];
+  };
+  // Two flows inside region 0, one inside another region, one crossing.
+  std::vector<model::Flow> in0;
+  std::vector<model::Flow> elsewhere;
+  std::vector<model::Flow> crossing;
+  for (const model::Flow& f : spec.flows.all()) {
+    if (region_of(f.src) != region_of(f.dst)) {
+      crossing.push_back(f);
+    } else {
+      (region_of(f.src) == 0 ? in0 : elsewhere).push_back(f);
+    }
+  }
+  ASSERT_GE(in0.size(), 2u);
+  ASSERT_FALSE(elsewhere.empty());
+  ASSERT_FALSE(crossing.empty());
+
+  using model::IsolationPattern;
+  const model::ServiceId web = *spec.services.find("WEB");
+  spec.user_constraints = {
+      model::ForbidPatternForService{web, IsolationPattern::kProxy},
+      model::ForbidPatternForFlow{in0[0], IsolationPattern::kTrustedComm},
+      model::RequirePatternForFlow{crossing[0],
+                                   IsolationPattern::kPayloadInspection},
+      model::DenyOneOf{in0[0], in0[1]},
+      model::DenyOneOf{in0[1], elsewhere[0]},  // straddles two regions
+  };
+  spec.host_requirements = {
+      {in0[0].src, util::Fixed::from_int(2)},
+      {elsewhere[0].src, util::Fixed::from_int(3)},
+  };
+  spec.validate();
+
+  const ShardPlan plan = plan_shards(spec, ShardPlannerOptions{3});
+  ASSERT_EQ(plan.partition.region_of, part.region_of);
+  const int other = region_of(elsewhere[0].src);
+  for (const RegionPlan& region : plan.regions) {
+    const model::SpecProjection& proj = region.projection;
+    // Global -> local node id; the kept node must be in the region.
+    const auto local = [&](topology::NodeId global) {
+      const auto it =
+          std::lower_bound(proj.nodes.begin(), proj.nodes.end(), global);
+      EXPECT_TRUE(it != proj.nodes.end() && *it == global);
+      return static_cast<topology::NodeId>(it - proj.nodes.begin());
+    };
+    const auto local_flow = [&](const model::Flow& f) {
+      return model::Flow{local(f.src), local(f.dst), f.service};
+    };
+    // forbid-service survives everywhere; the crossing require-flow and
+    // the straddling deny-one-of survive nowhere.
+    std::vector<model::UserConstraint> want{model::ForbidPatternForService{
+        web, IsolationPattern::kProxy}};
+    if (region.index == 0) {
+      want.push_back(model::ForbidPatternForFlow{
+          local_flow(in0[0]), IsolationPattern::kTrustedComm});
+      want.push_back(
+          model::DenyOneOf{local_flow(in0[0]), local_flow(in0[1])});
+    }
+    EXPECT_EQ(proj.spec.user_constraints, want) << "region " << region.index;
+
+    if (region.index == 0 || region.index == other) {
+      const model::HostIsolationRequirement& global =
+          spec.host_requirements[region.index == 0 ? 0 : 1];
+      ASSERT_EQ(proj.spec.host_requirements.size(), 1u);
+      EXPECT_EQ(proj.spec.host_requirements[0].host, local(global.host));
+      EXPECT_EQ(proj.spec.host_requirements[0].min_isolation,
+                global.min_isolation);
+    } else {
+      EXPECT_TRUE(proj.spec.host_requirements.empty());
+    }
   }
 }
 

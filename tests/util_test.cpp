@@ -10,7 +10,6 @@
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/fixed.h"
-#include "util/logging.h"
 #include "util/memory.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -254,18 +253,6 @@ TEST(Timer, DeadlineCountsDownThenExpires) {
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
   EXPECT_EQ(deadline.remaining_ms(), -1);
   EXPECT_TRUE(deadline.expired());
-}
-
-TEST(Logging, LevelRoundTrip) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Suppressed levels must not crash (and must not emit).
-  log_debug() << "suppressed " << 42;
-  log_info() << "suppressed";
-  set_log_level(LogLevel::kOff);
-  log_error() << "also suppressed";
-  set_log_level(before);
 }
 
 TEST(Fixed, DivisionByNegative) {
